@@ -211,8 +211,8 @@ int RunMigrationCheck(uint64_t root_seed) {
   return 0;
 }
 
-int Run(const BenchIo& io, bool smoke) {
-  std::vector<uint32_t> scales = smoke ? std::vector<uint32_t>{1, 64}
+int Run(const BenchIo& io) {
+  std::vector<uint32_t> scales = io.smoke ? std::vector<uint32_t>{1, 64}
                                        : std::vector<uint32_t>{1, 16, 64, 256};
   int rc = 0;
   double cki_speedup_at_64 = 0;
@@ -252,16 +252,4 @@ int Run(const BenchIo& io, bool smoke) {
 }  // namespace
 }  // namespace cki
 
-int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
-}
+int main(int argc, char** argv) { return cki::Run(cki::BenchIo::Parse(argc, argv)); }

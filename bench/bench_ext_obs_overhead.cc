@@ -26,7 +26,6 @@
 // sanitizer builds.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -202,20 +201,7 @@ int Run(uint64_t ops, BenchObsSink* sink) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  uint64_t ops = 200000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      ops = 20000;
-    }
-  }
-  // Strip --smoke before the shared parser (it rejects unknown flags).
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") != 0) {
-      args.push_back(argv[i]);
-    }
-  }
-  cki::BenchObsSink sink(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()));
-  int rc = cki::Run(ops, &sink);
+  cki::BenchObsSink sink(cki::BenchIo::Parse(argc, argv));
+  int rc = cki::Run(sink.io().smoke ? 20000 : 200000, &sink);
   return sink.Write("ext_obs_overhead") ? rc : 1;
 }

@@ -33,12 +33,12 @@
 namespace cki {
 namespace {
 
-OrchConfig BaseConfig(const BenchIo& io, bool smoke) {
+OrchConfig BaseConfig(const BenchIo& io) {
   OrchConfig cfg;
-  cfg.shards = io.ShardsOr(smoke ? 4 : 6);
+  cfg.shards = io.ShardsOr(io.smoke ? 4 : 6);
   cfg.threads = io.ThreadsOr(1);
   cfg.root_seed = io.root_seed;
-  cfg.epochs = smoke ? 24 : 64;
+  cfg.epochs = io.smoke ? 24 : 64;
   cfg.epoch_ns = 1'000'000;       // 1 simulated ms control epochs
   cfg.slo_p99_ns = 400'000;
   cfg.initial_containers = 2;
@@ -112,8 +112,8 @@ void WriteJsonOut(const std::string& path, const std::vector<PolicyOutcome>& out
   std::cerr << (os ? "wrote " : "error: could not write ") << path << "\n";
 }
 
-int Run(const BenchIo& io, bool smoke) {
-  const OrchConfig cfg = BaseConfig(io, smoke);
+int Run(const BenchIo& io) {
+  const OrchConfig cfg = BaseConfig(io);
   int rc = 0;
 
   StaticPolicy static_policy(cfg.initial_containers);
@@ -230,16 +230,4 @@ int Run(const BenchIo& io, bool smoke) {
 }  // namespace
 }  // namespace cki
 
-int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
-}
+int main(int argc, char** argv) { return cki::Run(cki::BenchIo::Parse(argc, argv)); }

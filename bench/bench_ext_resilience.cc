@@ -90,12 +90,12 @@ bool ParseChaosKinds(std::string_view list, GrayKinds* kinds) {
   return true;
 }
 
-OrchConfig BaseConfig(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
+OrchConfig BaseConfig(const BenchIo& io, const GrayKinds& kinds) {
   OrchConfig cfg;
-  cfg.shards = io.ShardsOr(smoke ? 4 : 6);
+  cfg.shards = io.ShardsOr(io.smoke ? 4 : 6);
   cfg.threads = io.ThreadsOr(1);
   cfg.root_seed = io.root_seed;
-  cfg.epochs = smoke ? 32 : 64;
+  cfg.epochs = io.smoke ? 32 : 64;
   cfg.epoch_ns = 1'000'000;  // 1 simulated ms control epochs
   cfg.slo_p99_ns = 400'000;
   cfg.initial_containers = 2;
@@ -178,10 +178,10 @@ void WriteJsonOut(const std::string& path, const std::vector<ArmOutcome>& outcom
   std::cerr << (os ? "wrote " : "error: could not write ") << path << "\n";
 }
 
-int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
-  OrchConfig off_cfg = BaseConfig(io, smoke, kinds);
+int Run(const BenchIo& io, const GrayKinds& kinds) {
+  OrchConfig off_cfg = BaseConfig(io, kinds);
   off_cfg.resil.enabled = false;
-  OrchConfig on_cfg = BaseConfig(io, smoke, kinds);
+  OrchConfig on_cfg = BaseConfig(io, kinds);
   on_cfg.resil.enabled = true;
   int rc = 0;
 
@@ -349,34 +349,17 @@ int Run(const BenchIo& io, bool smoke, const GrayKinds& kinds) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke and --chaos-kinds before BenchIo sees (and rejects) them.
-  bool smoke = false;
-  std::string chaos_kinds;
-  bool kinds_given = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--chaos-kinds=", 0) == 0) {
-      chaos_kinds = arg.substr(std::string_view("--chaos-kinds=").size());
-      kinds_given = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  cki::GrayKinds kinds;
-  if (kinds_given) {
-    if (!cki::ParseChaosKinds(chaos_kinds, &kinds)) {
+  cki::BenchIo io = cki::BenchIo::Parse(argc, argv);
+  cki::GrayKinds kinds{true, true, true, true};
+  if (io.chaos_kinds.has_value()) {
+    kinds = cki::GrayKinds{};
+    if (!cki::ParseChaosKinds(*io.chaos_kinds, &kinds)) {
       return 2;
     }
     if (!kinds.latency && !kinds.throttle && !kinds.blackhole && !kinds.jitter) {
       std::cerr << "error: --chaos-kinds armed no gray fault kinds\n";
       return 2;
     }
-  } else {
-    kinds = cki::GrayKinds{true, true, true, true};
   }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke,
-                  kinds);
+  return cki::Run(io, kinds);
 }

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -71,12 +70,12 @@ SpeedRun RunSweep(const std::vector<Fig13Cell>& cells, uint32_t threads, uint64_
   return run;
 }
 
-int Run(const BenchIo& io, bool smoke) {
+int Run(const BenchIo& io) {
   const std::vector<Fig13Cell> cells = Fig13CellList();
   const uint32_t thread_counts[] = {1, 2, 8};
   // Timing noise: keep the best (fastest) wall clock of `reps` runs per
   // thread count; hashes are checked on every rep.
-  const int reps = smoke ? 1 : 3;
+  const int reps = io.smoke ? 1 : 3;
 
   std::vector<SpeedRun> runs;
   bool hash_ok = true;
@@ -157,16 +156,4 @@ int Run(const BenchIo& io, bool smoke) {
 }  // namespace
 }  // namespace cki
 
-int main(int argc, char** argv) {
-  // Strip --smoke before BenchIo sees (and rejects) it.
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke);
-}
+int main(int argc, char** argv) { return cki::Run(cki::BenchIo::Parse(argc, argv)); }

@@ -60,9 +60,9 @@ std::unique_ptr<ContainerEngine> NewEngine(Machine& machine, RuntimeKind kind) {
 
 // --- phase 1: per-engine cache columns + warm-beats-cold gate -------------
 
-int RunEngineTable(const BenchIo& io, BenchObsSink* sink, bool smoke) {
+int RunEngineTable(const BenchIo& io, BenchObsSink* sink) {
   (void)io;
-  const int wal_txns = smoke ? 64 : 200;
+  const int wal_txns = io.smoke ? 64 : 200;
   int rc = 0;
   ReportTable table("blkfs: WAL commits and cold/warm sequential scan", "config",
                     {"WAL txn/s", "flush/txn", "cold scan req/s", "warm scan req/s",
@@ -279,14 +279,14 @@ ClusterOutcome RunClusterOnce(uint32_t shards, uint32_t threads, uint64_t root_s
   return out;
 }
 
-int RunClusterDeterminism(const BenchIo& io, bool smoke, double io_error_rate) {
-  const uint32_t shards = io.ShardsOr(smoke ? 4 : 8);
+int RunClusterDeterminism(const BenchIo& io, double io_error_rate) {
+  const uint32_t shards = io.ShardsOr(io.smoke ? 4 : 8);
   int rc = 0;
   std::cout << "cluster: " << shards << " shards, 4 containers each, chaos rate "
             << io_error_rate << " (blkfs_io_error)\n";
   ClusterOutcome base;
   for (uint32_t threads : {1u, 2u, 8u}) {
-    ClusterOutcome out = RunClusterOnce(shards, threads, io.root_seed, io_error_rate, smoke);
+    ClusterOutcome out = RunClusterOnce(shards, threads, io.root_seed, io_error_rate, io.smoke);
     std::cout << "cluster: threads=" << threads << " hash=0x" << std::hex << out.hash
               << std::dec << " wal=" << out.wal_txn_s
               << " txn/s/ctr io-errors=" << out.io_errors << "\n";
@@ -309,11 +309,11 @@ int RunClusterDeterminism(const BenchIo& io, bool smoke, double io_error_rate) {
   return rc;
 }
 
-int Run(const BenchIo& io, bool smoke, double io_error_rate) {
+int Run(const BenchIo& io, double io_error_rate) {
   BenchObsSink sink(io);
-  int rc = RunEngineTable(io, &sink, smoke);
-  rc |= RunDedupDensity(smoke);
-  rc |= RunClusterDeterminism(io, smoke, io_error_rate);
+  int rc = RunEngineTable(io, &sink);
+  rc |= RunDedupDensity(io.smoke);
+  rc |= RunClusterDeterminism(io, io_error_rate);
   if (sink.active() && !sink.Write("bench_ext_storage")) {
     rc = 1;
   }
@@ -355,24 +355,10 @@ bool ParseChaosKinds(std::string_view list, double* io_error_rate) {
 }  // namespace cki
 
 int main(int argc, char** argv) {
-  // Strip --smoke and --chaos-kinds before BenchIo sees (and rejects) them.
-  bool smoke = false;
-  std::string chaos_kinds;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    std::string_view arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--chaos-kinds=", 0) == 0) {
-      chaos_kinds = arg.substr(std::string_view("--chaos-kinds=").size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
+  cki::BenchIo io = cki::BenchIo::Parse(argc, argv);
   double io_error_rate = 0;
-  if (!cki::ParseChaosKinds(chaos_kinds, &io_error_rate)) {
+  if (!cki::ParseChaosKinds(io.chaos_kinds.value_or(""), &io_error_rate)) {
     return 2;
   }
-  return cki::Run(cki::BenchIo::Parse(static_cast<int>(args.size()), args.data()), smoke,
-                  io_error_rate);
+  return cki::Run(io, io_error_rate);
 }

@@ -1,10 +1,15 @@
 // Table 2: container performance on microbenchmarks (ns): syscall, page
 // fault (cold: fresh memory incl. host backing allocation) and hypercall,
 // for RunC / HVM / PVM in bare-metal and nested deployments. CKI columns
-// are added for reference (the paper reports them in Fig 10 / sec 7.1).
+// are added for reference (the paper reports them in Fig 10 / sec 7.1),
+// plus the two CKI-only primitives behind them: one PKS switch pair (KSM
+// gate enter + exit) and a KSM-checked PTE update (mprotect of one page,
+// shown for every design). Simulated costs are deterministic, so one pass
+// of each loop is the exact figure.
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "src/cki/cki_engine.h"
 #include "src/metrics/report.h"
 #include "src/virt/hvm_engine.h"
 #include "src/virt/pvm_engine.h"
@@ -53,6 +58,35 @@ SimNanos HypercallNs(Testbed& bed) {
   return total / kIters;
 }
 
+SimNanos PksSwitchPairNs(Testbed& bed) {
+  if (bed.kind() != RuntimeKind::kCki) {
+    return 0;  // "-": only CKI has a PKS-gated kernel
+  }
+  Gates& gates = static_cast<CkiEngine&>(bed.engine()).gates();
+  constexpr int kIters = 128;
+  SimNanos total = bed.Measure([&] {
+    for (int i = 0; i < kIters; ++i) {
+      gates.EnterKsm();
+      gates.ExitKsm();
+    }
+  });
+  return total / kIters;
+}
+
+SimNanos MprotectNs(Testbed& bed) {
+  uint64_t page = bed.engine().MmapAnon(kPageSize, /*populate=*/true);
+  const SyscallRequest reprotect{
+      .no = Sys::kMprotect, .arg0 = page, .arg1 = kPageSize, .arg2 = kProtRead | kProtWrite};
+  bed.engine().UserSyscall(reprotect);
+  constexpr int kIters = 128;
+  SimNanos total = bed.Measure([&] {
+    for (int i = 0; i < kIters; ++i) {
+      bed.engine().UserSyscall(reprotect);
+    }
+  });
+  return total / kIters;
+}
+
 void Run() {
   ReportTable table("Table 2: microbenchmark latencies (ns)", "op",
                     {"RunC-BM", "HVM-BM", "PVM-BM", "CKI-BM", "HVM-NST", "PVM-NST", "CKI-NST"});
@@ -66,6 +100,8 @@ void Run() {
   std::vector<double> syscalls;
   std::vector<double> faults;
   std::vector<double> hypercalls;
+  std::vector<double> pks_pairs;
+  std::vector<double> mprotects;
   for (auto [kind, dep] : configs) {
     {
       Testbed bed(kind, dep);
@@ -79,10 +115,20 @@ void Run() {
       Testbed bed(kind, dep);
       hypercalls.push_back(static_cast<double>(HypercallNs(bed)));
     }
+    {
+      Testbed bed(kind, dep);
+      pks_pairs.push_back(static_cast<double>(PksSwitchPairNs(bed)));
+    }
+    {
+      Testbed bed(kind, dep);
+      mprotects.push_back(static_cast<double>(MprotectNs(bed)));
+    }
   }
   table.AddRow("syscall", syscalls);
   table.AddRow("pgfault (cold)", faults);
   table.AddRow("hypercall", hypercalls);
+  table.AddRow("PKS switch pair", pks_pairs);
+  table.AddRow("mprotect (PTE upd)", mprotects);
   table.Print(std::cout, 0);
 
   std::cout << "Paper (Table 2): syscall 93/91/336 (BM), 91/336 (NST); pgfault\n"

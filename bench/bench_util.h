@@ -2,12 +2,17 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "src/obs/json_util.h"
@@ -67,8 +72,9 @@ inline std::vector<BenchConfig> Fig16Configs() {
 }
 
 // Options shared by all bench binaries — the one consolidated usage block
-// (every IO flag every bench accepts lives here; keep it in sync with
-// Parse below and the error message it prints).
+// (every flag every bench accepts lives here; keep it in sync with Parse
+// below and kUsage). Parse exits 2 on an unknown flag or a malformed
+// number, so a typo never silently runs the bench default.
 //
 // Observability output:
 //   --json-out=<file>     machine-readable per-config metrics dump
@@ -89,6 +95,11 @@ inline std::vector<BenchConfig> Fig16Configs() {
 //                         identical at any value — threads change
 //                         wall-clock time only)
 //   --root-seed=<n>       root of the deterministic per-shard seed split
+//
+// Run shape (benches without the feature ignore these):
+//   --smoke               the bench's short CI configuration
+//   --chaos-kinds=<list>  comma-separated fault kinds to arm; each chaos
+//                         bench checks the list against its own sites
 struct BenchIo {
   std::string json_out;
   std::string trace_out;
@@ -97,6 +108,8 @@ struct BenchIo {
   uint32_t shards = 0;        // 0: bench-specific default
   uint32_t threads = 0;       // 0: bench-specific default
   uint64_t root_seed = 1;
+  bool smoke = false;
+  std::optional<std::string> chaos_kinds;  // raw list; unset: not given
 
   bool observing() const {
     return !json_out.empty() || !trace_out.empty() || !metrics_csv.empty();
@@ -110,46 +123,62 @@ struct BenchIo {
     BenchIo io;
     for (int i = 1; i < argc; ++i) {
       std::string_view arg = argv[i];
-      if (arg.rfind("--json-out=", 0) == 0) {
-        io.json_out = arg.substr(std::string_view("--json-out=").size());
-      } else if (arg.rfind("--trace-out=", 0) == 0) {
-        io.trace_out = arg.substr(std::string_view("--trace-out=").size());
-      } else if (arg.rfind("--metrics-csv=", 0) == 0) {
-        io.metrics_csv = arg.substr(std::string_view("--metrics-csv=").size());
-      } else if (arg.rfind("--sample-every=", 0) == 0) {
-        io.sample_every = ParseUint(arg.substr(std::string_view("--sample-every=").size()));
-        if (io.sample_every == 0) {
-          io.sample_every = 1;
-        }
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        io.shards = ParseUint(arg.substr(std::string_view("--shards=").size()));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        io.threads = ParseUint(arg.substr(std::string_view("--threads=").size()));
-      } else if (arg.rfind("--root-seed=", 0) == 0) {
-        io.root_seed = ParseUint64(arg.substr(std::string_view("--root-seed=").size()));
+      std::string_view v;
+      if (arg == "--smoke") {
+        io.smoke = true;
+      } else if (Flag(arg, "--json-out=", &v)) {
+        io.json_out = v;
+      } else if (Flag(arg, "--trace-out=", &v)) {
+        io.trace_out = v;
+      } else if (Flag(arg, "--metrics-csv=", &v)) {
+        io.metrics_csv = v;
+      } else if (Flag(arg, "--sample-every=", &v)) {
+        io.sample_every = std::max<uint32_t>(1, Number<uint32_t>(arg, v));
+      } else if (Flag(arg, "--shards=", &v)) {
+        io.shards = Number<uint32_t>(arg, v);
+      } else if (Flag(arg, "--threads=", &v)) {
+        io.threads = Number<uint32_t>(arg, v);
+      } else if (Flag(arg, "--root-seed=", &v)) {
+        io.root_seed = Number<uint64_t>(arg, v);
+      } else if (Flag(arg, "--chaos-kinds=", &v)) {
+        io.chaos_kinds = std::string(v);
       } else {
-        std::cerr << "unknown argument: " << arg
-                  << " (supported: --json-out=<file> --trace-out=<file>"
-                     " --metrics-csv=<file> --sample-every=<n>"
-                     " --shards=<n> --threads=<n> --root-seed=<n>)\n";
+        Fail("unknown argument", arg);
       }
     }
     return io;
   }
 
  private:
-  static uint64_t ParseUint64(std::string_view s) {
-    uint64_t v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') {
-        std::cerr << "bad numeric argument value: " << s << "\n";
-        return 0;
-      }
-      v = v * 10 + static_cast<uint64_t>(c - '0');
+  static constexpr std::string_view kUsage =
+      "supported: --json-out=<file> --trace-out=<file> --metrics-csv=<file>"
+      " --sample-every=<n> --shards=<n> --threads=<n> --root-seed=<n>"
+      " --smoke --chaos-kinds=<list>";
+
+  static bool Flag(std::string_view arg, std::string_view name, std::string_view* value) {
+    if (arg.rfind(name, 0) != 0) {
+      return false;
     }
-    return v;
+    *value = arg.substr(name.size());
+    return true;
   }
-  static uint32_t ParseUint(std::string_view s) { return static_cast<uint32_t>(ParseUint64(s)); }
+
+  [[noreturn]] static void Fail(std::string_view what, std::string_view arg) {
+    std::cerr << "error: " << what << ": " << arg << " (" << kUsage << ")\n";
+    std::exit(2);
+  }
+
+  // A whole decimal number that fits T; anything else exits 2.
+  template <typename T>
+  static T Number(std::string_view arg, std::string_view text) {
+    T value = 0;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      Fail("bad number", arg);
+    }
+    return value;
+  }
 };
 
 // Accumulates the observability output of several measured configurations

@@ -10,6 +10,17 @@
 //               PTE emulation       root switch
 //   CKI         KSM call checked    KSM call validating   switcher (PKS +
 //               by the PTP monitor  the declared root     CR3, no L0)
+//
+// Where the page hooks (ReadPte, Alloc/FreeDataPage, Alloc/FreePtp) come
+// from:
+//   RunC, gVisor, LibOS  ContainerEngine's direct-frame defaults: host
+//                        frames go straight into guest PTEs (StorePte and
+//                        InvalidatePage too; LibOS keeps its own
+//                        InvalidatePage)
+//   HVM, PVM             TwoStageEngine: gPAs from bump arenas, bound to
+//                        host frames on first use (src/runtime)
+//   CKI                  its delegated segment, PTPs declared to the KSM
+//                        (ReadPte is the default)
 #ifndef SRC_GUEST_ENGINE_PORT_H_
 #define SRC_GUEST_ENGINE_PORT_H_
 
@@ -79,7 +90,8 @@ class EnginePort {
   virtual void LoadAddressSpace(uint64_t root_pa, uint16_t asid) = 0;
 
   // Flushes one page translation after an unmap/protect (invlpg — directly
-  // executable in every design; PCID confines it to the container).
+  // executable in every design but LibOS, whose libOS runs in user mode;
+  // PCID confines it to the container).
   virtual void InvalidatePage(uint64_t va) = 0;
 
   // --- copy-on-write clones (src/snap) ---------------------------------

@@ -80,6 +80,12 @@ class FrameAllocator {
   // Owner of the frame containing `pa`; kHostOwner if never allocated.
   OwnerId OwnerOf(uint64_t pa) const;
 
+  // True when `owner` holds `pa` as a singleton frame, which one FreeFrame
+  // releases, rather than as a page of a delegated segment.
+  bool OwnsSingleton(uint64_t pa, OwnerId owner) const {
+    return OwnerSlot(FrameIndex(pa)) == owner;
+  }
+
   // --- copy-on-write sharing (src/snap clones) --------------------------
   // Registers `sharer` as an additional holder of the (allocated) frame.
   // One share per (frame, clone) — the clone's guest-side refcounts cover

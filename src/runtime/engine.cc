@@ -101,6 +101,37 @@ uint64_t ContainerEngine::AdoptSharedFrame(uint64_t host_pa) {
   return host_pa;
 }
 
+uint64_t ContainerEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
+
+bool ContainerEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
+  (void)level;
+  (void)va;
+  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
+  machine_.mem().WriteU64(pte_pa, value);
+  return true;
+}
+
+uint64_t ContainerEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
+
+void ContainerEngine::FreeDataPage(uint64_t pa) {
+  if (ReleaseSharedDataFrame(pa)) {
+    return;  // clone-shared frame: the allocator kept it for siblings
+  }
+  machine_.frames().FreeFrame(pa);
+}
+
+uint64_t ContainerEngine::AllocPtp(int level) {
+  (void)level;
+  return machine_.frames().AllocFrame(id_);
+}
+
+void ContainerEngine::FreePtp(uint64_t pa, int level) {
+  (void)level;
+  machine_.frames().FreeFrame(pa);
+}
+
+void ContainerEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
+
 bool ContainerEngine::FrameShared(uint64_t pa) const {
   uint64_t hpa = HostFrameFor(pa);
   if (hpa == kNoPage) {

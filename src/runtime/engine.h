@@ -137,6 +137,13 @@ class ContainerEngine : public EnginePort {
   virtual void SnapCaptureState(SnapWriter& w) const { (void)w; }
   virtual void SnapApplyState(SnapReader& r) { (void)r; }
 
+  // --- guest-physical memory: direct-frame defaults ----------------------
+  // The defaults below put host frames straight into guest PTEs. RunC,
+  // gVisor and LibOS take all of them (LibOS keeps its own InvalidatePage).
+  // CKI takes ReadPte, InvalidatePage and the identity mapping; its frames
+  // come from its delegated segment. HVM and PVM keep a second translation
+  // stage: TwoStageEngine overrides the frame hooks, each its own StorePte.
+
   // Host PA backing the guest-visible `pa`; identity for designs without
   // a second translation stage. kNoPage when no backing exists yet (lazy
   // HVM/PVM pages — their content is all-zero by construction).
@@ -149,7 +156,18 @@ class ContainerEngine : public EnginePort {
   // fresh gPA wired to the shared host frame.
   virtual uint64_t AdoptSharedFrame(uint64_t host_pa);
 
-  // --- EnginePort (CoW sharing; see engine_port.h) ----------------------
+  // --- EnginePort ------------------------------------------------------
+  uint64_t ReadPte(uint64_t pte_pa) override;
+  // A plain store at native cost.
+  bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
+  uint64_t AllocDataPage() override;
+  void FreeDataPage(uint64_t pa) override;
+  uint64_t AllocPtp(int level) override;
+  void FreePtp(uint64_t pa, int level) override;
+  // invlpg: directly executable in every design but LibOS, which overrides.
+  void InvalidatePage(uint64_t va) override;
+
+  // CoW sharing; see engine_port.h.
   bool FrameShared(uint64_t pa) const override;
   void CowBreakShootdown(uint64_t va) override;
 

@@ -66,35 +66,6 @@ SimNanos NativeEngine::DeviceInterruptCost() const {
   return ctx_.cost().hw_interrupt_delivery;
 }
 
-uint64_t NativeEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool NativeEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t NativeEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void NativeEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t NativeEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void NativeEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
-}
-
 uint64_t NativeEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   // No hypervisor: the guest-kernel-side request is a no-op too.
   (void)op;
@@ -107,7 +78,5 @@ void NativeEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
-
-void NativeEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 }  // namespace cki

@@ -110,37 +110,6 @@ SimNanos GvisorEngine::VirtioEmulationExtra() const {
   return kNetstackExtra;
 }
 
-uint64_t GvisorEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool GvisorEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  // The host kernel manages the real page tables (Sentry uses host mmap):
-  // native store.
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t GvisorEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void GvisorEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t GvisorEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void GvisorEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
-}
-
 void GvisorEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // Sentry asks the host to switch stubs/address spaces: a host syscall.
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
@@ -148,7 +117,5 @@ void GvisorEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
 }
-
-void GvisorEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 }  // namespace cki

@@ -6,7 +6,7 @@
 namespace cki {
 
 HvmEngine::HvmEngine(Machine& machine)
-    : ContainerEngine(machine),
+    : TwoStageEngine(machine, /*split_data=*/true),
       ept_(machine.mem(),
            [this](int /*level*/) { return machine_.frames().AllocFrame(kHostOwner); }) {
   AllocPcids(256);
@@ -22,32 +22,6 @@ void HvmEngine::Boot() {
   }
   machine_.cpu().set_ept(&ept_);
   ContainerEngine::Boot();
-}
-
-uint64_t HvmEngine::GuestPhysAlloc() {
-  if (!guest_free_list_.empty()) {
-    uint64_t gpa = guest_free_list_.back();
-    guest_free_list_.pop_back();
-    return gpa;
-  }
-  return (guest_ram_next_++) * kPageSize;
-}
-
-uint64_t HvmEngine::Backing(uint64_t gpa, bool create) {
-  uint64_t gfn = gpa >> kPageShift;
-  if (uint64_t hpa = BackingMapFor(gfn).Get(gfn); hpa != 0) {
-    return hpa | (gpa & (kPageSize - 1));
-  }
-  if (!create) {
-    // An EPT reference to a gPA the host never assigned: protection
-    // violation, container-fatal only.
-    machine_.faults().Raise(
-        FaultReport{FaultKind::kProtectionViolation, id_, gpa});
-  }
-  uint64_t hpa = machine_.frames().AllocFrame(id_);
-  BackingMapFor(gfn).Set(gfn, hpa);
-  ept_.Map(gfn << kPageShift, hpa, PageSize::k4K);
-  return hpa | (gpa & (kPageSize - 1));
 }
 
 void HvmEngine::ChargeVmExit() {
@@ -93,7 +67,7 @@ void HvmEngine::HandleEptViolation(uint64_t gpa) {
     PhysSegment seg = machine_.frames().AllocSegment(kHugePageSize / kPageSize, id_);
     for (uint64_t i = 0; i < kHugePageSize / kPageSize; ++i) {
       uint64_t gfn = (gpa_base >> kPageShift) + i;
-      BackingMapFor(gfn).Set(gfn, seg.base + i * kPageSize);
+      ArenaFor(gfn).Bind(gfn, seg.base + i * kPageSize);
     }
     ept_.Map(gpa_base, seg.base, PageSize::k2M);
   } else {
@@ -161,15 +135,6 @@ uint64_t HvmEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   return Hypercall(op, a0, a1);
 }
 
-void HvmEngine::OnKill() {
-  // Drop gPA bookkeeping before the owner sweep reclaims the backing
-  // frames (the host-owned EPT table pages stay with the host allocator).
-  ram_backing_.Clear();
-  data_backing_.Clear();
-  guest_free_list_.clear();
-  data_free_list_.clear();
-}
-
 uint64_t HvmEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   (void)a0;
   (void)a1;
@@ -209,10 +174,6 @@ SimNanos HvmEngine::VirtioEmulationExtra() const {
   return 4 * (c.NestedExitRoundtrip() + c.virtio_kick_mmio);
 }
 
-uint64_t HvmEngine::ReadPte(uint64_t pte_pa) {
-  return machine_.mem().ReadU64(Backing(pte_pa, /*create=*/false));
-}
-
 bool HvmEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
   (void)level;
   (void)va;
@@ -222,51 +183,11 @@ bool HvmEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va
   return true;
 }
 
-uint64_t HvmEngine::AllocDataPage() {
-  // Backing is left lazy: the first user access raises an EPT violation
-  // ("the newly allocated gPA is not mapped in the EPT", sec 7.1).
-  if (!data_free_list_.empty()) {
-    uint64_t gpa = data_free_list_.back();
-    data_free_list_.pop_back();
-    return gpa;
-  }
-  return (data_gpa_next_++) * kPageSize;
-}
-
-void HvmEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    // The shared host frame stays with its remaining holders; the gPA is
-    // ours alone, so unbind it and recycle (backing re-materializes
-    // lazily if the gPA is reused).
-    data_backing_.Erase(pa >> kPageShift);
-    ept_.Unmap(pa & ~(kPageSize - 1));
-    data_free_list_.push_back(pa);
-    return;
-  }
-  data_free_list_.push_back(pa);
-}
-
-uint64_t HvmEngine::AllocPtp(int level) {
-  (void)level;
-  uint64_t gpa = GuestPhysAlloc();
-  // Page-table pages are written immediately by the guest kernel, so their
-  // backing exists by construction (they come from already-touched RAM).
-  Backing(gpa, /*create=*/true);
-  return gpa;
-}
-
-void HvmEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  guest_free_list_.push_back(pa);
-}
-
 void HvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // Guest CR3 loads do not exit under EPT.
   ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
-
-void HvmEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
 
 void HvmEngine::SnapCaptureConfig(SnapWriter& w) const {
   w.PutBool(cold_faults_);
@@ -278,25 +199,8 @@ void HvmEngine::SnapApplyConfig(SnapReader& r) {
   ept_huge_pages_ = r.GetBool();
 }
 
-uint64_t HvmEngine::HostFrameFor(uint64_t pa) const {
-  uint64_t gfn = pa >> kPageShift;
-  uint64_t hpa = BackingMapFor(gfn).Get(gfn);
-  if (hpa == 0) {
-    return kNoPage;  // lazily backed gPA: all-zero by construction
-  }
-  return hpa | (pa & (kPageSize - 1));
-}
+void HvmEngine::OnBind(uint64_t gpa, uint64_t hpa) { ept_.Map(gpa, hpa, PageSize::k4K); }
 
-uint64_t HvmEngine::EnsureHostFrame(uint64_t pa) { return Backing(pa, /*create=*/true); }
-
-uint64_t HvmEngine::AdoptSharedFrame(uint64_t host_pa) {
-  machine_.frames().ShareFrame(host_pa, id_);
-  uint64_t gpa = AllocDataPage();
-  data_backing_.Set(gpa >> kPageShift, host_pa);
-  // Map eagerly: Backing() short-circuits on an existing entry, so a later
-  // EPT violation would spin instead of installing this mapping.
-  ept_.Map(gpa & ~(kPageSize - 1), host_pa, PageSize::k4K);
-  return gpa;
-}
+void HvmEngine::OnUnbind(uint64_t gpa) { ept_.Unmap(gpa); }
 
 }  // namespace cki

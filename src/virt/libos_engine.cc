@@ -106,35 +106,6 @@ SimNanos LibOsEngine::DeviceInterruptCost() const {
   return ctx_.cost().hw_interrupt_delivery;
 }
 
-uint64_t LibOsEngine::ReadPte(uint64_t pte_pa) { return machine_.mem().ReadU64(pte_pa); }
-
-bool LibOsEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
-  (void)level;
-  (void)va;
-  ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
-  machine_.mem().WriteU64(pte_pa, value);
-  return true;
-}
-
-uint64_t LibOsEngine::AllocDataPage() { return machine_.frames().AllocFrame(id_); }
-
-void LibOsEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    return;  // clone-shared frame: the allocator kept it for siblings
-  }
-  machine_.frames().FreeFrame(pa);
-}
-
-uint64_t LibOsEngine::AllocPtp(int level) {
-  (void)level;
-  return machine_.frames().AllocFrame(id_);
-}
-
-void LibOsEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  machine_.frames().FreeFrame(pa);
-}
-
 void LibOsEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
   machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xF))));

@@ -6,7 +6,7 @@
 namespace cki {
 
 PvmEngine::PvmEngine(Machine& machine)
-    : ContainerEngine(machine),
+    : TwoStageEngine(machine, /*split_data=*/false),
       shadow_editor_(machine.mem(),
                      [&machine](int /*level*/) { return machine.frames().AllocFrame(kHostOwner); },
                      [&machine](uint64_t pte_pa, uint64_t value, int, uint64_t) {
@@ -17,26 +17,7 @@ PvmEngine::PvmEngine(Machine& machine)
   fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
-uint64_t PvmEngine::GuestPhysAlloc() {
-  if (!guest_free_list_.empty()) {
-    uint64_t gpa = guest_free_list_.back();
-    guest_free_list_.pop_back();
-    return gpa;
-  }
-  return (guest_ram_next_++) * kPageSize;
-}
-
-uint64_t PvmEngine::Backing(uint64_t gpa, bool create) {
-  uint64_t gfn = gpa >> kPageShift;
-  if (uint64_t hpa = backing_.Get(gfn); hpa != 0) {
-    return hpa | (gpa & (kPageSize - 1));
-  }
-  if (!create) {
-    // The guest referenced a gPA the host never assigned it: a protection
-    // violation that kills this container, not the machine.
-    machine_.faults().Raise(
-        FaultReport{FaultKind::kProtectionViolation, id_, gpa});
-  }
+void PvmEngine::ChargeFreshBacking() {
   if (cold_faults_) {
     // Fresh backing: the host resolves the gPA through the hypervisor
     // process's VMA and allocates memory — the expensive part of Table 2's
@@ -45,9 +26,6 @@ uint64_t PvmEngine::Backing(uint64_t gpa, bool create) {
     ChargePvmExit();
     ctx_.ChargeWork(ctx_.cost().pvm_cold_backing_work);
   }
-  uint64_t hpa = machine_.frames().AllocFrame(id_);
-  backing_.Set(gfn, hpa);
-  return hpa | (gpa & (kPageSize - 1));
 }
 
 void PvmEngine::ChargePvmExit() {
@@ -178,9 +156,8 @@ void PvmEngine::OnKill() {
   // Drop the gPA->hPA and shadow maps before the owner sweep reclaims the
   // backing frames (the host-owned shadow tables themselves stay with the
   // host allocator; see DESIGN.md section 8).
-  backing_.Clear();
+  TwoStageEngine::OnKill();
   shadow_roots_.clear();
-  guest_free_list_.clear();
   in_batch_ = false;
   batch_pending_ = 0;
 }
@@ -217,10 +194,6 @@ SimNanos PvmEngine::VirtioEmulationExtra() const {
   SimNanos exit_cost = 2 * c.mode_switch + 2 * c.Cr3SwitchMitigated() + c.pvm_exit_extra +
                        (nested() ? c.pvm_nested_delta : 0);
   return 7 * (exit_cost + c.virtio_kick_mmio);
-}
-
-uint64_t PvmEngine::ReadPte(uint64_t pte_pa) {
-  return machine_.mem().ReadU64(Backing(pte_pa, /*create=*/false));
 }
 
 bool PvmEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) {
@@ -268,29 +241,6 @@ void PvmEngine::EndPteBatch() {
   batch_pending_ = 0;
 }
 
-uint64_t PvmEngine::AllocDataPage() { return GuestPhysAlloc(); }
-
-void PvmEngine::FreeDataPage(uint64_t pa) {
-  if (ReleaseSharedDataFrame(pa)) {
-    // Shared host frame stays with its remaining holders; unbind our gPA
-    // (shadow leaves were already cleared by the preceding unmap).
-    backing_.Erase(pa >> kPageShift);
-  }
-  guest_free_list_.push_back(pa);
-}
-
-uint64_t PvmEngine::AllocPtp(int level) {
-  (void)level;
-  uint64_t gpa = GuestPhysAlloc();
-  Backing(gpa, /*create=*/true);
-  return gpa;
-}
-
-void PvmEngine::FreePtp(uint64_t pa, int level) {
-  (void)level;
-  guest_free_list_.push_back(pa);
-}
-
 void PvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // A guest process switch is a hypercall: the host locates the shadow
   // root for the new guest root and loads it.
@@ -302,29 +252,8 @@ void PvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
       MakeCr3(shadow_root, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
 
-void PvmEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
-
 void PvmEngine::SnapCaptureConfig(SnapWriter& w) const { w.PutBool(cold_faults_); }
 
 void PvmEngine::SnapApplyConfig(SnapReader& r) { cold_faults_ = r.GetBool(); }
-
-uint64_t PvmEngine::HostFrameFor(uint64_t pa) const {
-  uint64_t hpa = backing_.Get(pa >> kPageShift);
-  if (hpa == 0) {
-    return kNoPage;  // never-touched gPA: all-zero by construction
-  }
-  return hpa | (pa & (kPageSize - 1));
-}
-
-uint64_t PvmEngine::EnsureHostFrame(uint64_t pa) { return Backing(pa, /*create=*/true); }
-
-uint64_t PvmEngine::AdoptSharedFrame(uint64_t host_pa) {
-  machine_.frames().ShareFrame(host_pa, id_);
-  uint64_t gpa = GuestPhysAlloc();
-  // Shadow leaves resolve gPA -> hPA through backing_, so wiring the map
-  // entry is all the adoption the shadow stage needs.
-  backing_.Set(gpa >> kPageShift, host_pa);
-  return gpa;
-}
 
 }  // namespace cki

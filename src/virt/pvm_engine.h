@@ -8,17 +8,19 @@
 // gVA -> gPA -> hPA abstraction via shadow paging: hardware runs on host-
 // maintained shadow tables, and every guest PTE update is a para-virtual
 // exit plus shadow-PTE emulation (sections 2.4.2, 7.1).
+//
+// Guest-physical memory comes from one TwoStageEngine arena (page tables
+// and data in one allocation order from gfn 1); this engine adds the
+// cold-backing charge and keeps the shadow tables.
 #ifndef SRC_VIRT_PVM_ENGINE_H_
 #define SRC_VIRT_PVM_ENGINE_H_
 
-
 #include "src/hw/page_table.h"
-#include "src/runtime/engine.h"
-#include "src/runtime/gfn_map.h"
+#include "src/runtime/two_stage_engine.h"
 
 namespace cki {
 
-class PvmEngine : public ContainerEngine {
+class PvmEngine : public TwoStageEngine {
  public:
   explicit PvmEngine(Machine& machine);
 
@@ -28,9 +30,6 @@ class PvmEngine : public ContainerEngine {
   // --- snapshot hooks --------------------------------------------------
   void SnapCaptureConfig(SnapWriter& w) const override;
   void SnapApplyConfig(SnapReader& r) override;
-  uint64_t HostFrameFor(uint64_t pa) const override;
-  uint64_t EnsureHostFrame(uint64_t pa) override;
-  uint64_t AdoptSharedFrame(uint64_t host_pa) override;
 
   SimNanos KickCost() const override;
   SimNanos DeviceInterruptCost() const override;
@@ -43,23 +42,18 @@ class PvmEngine : public ContainerEngine {
   uint64_t spt_emulations() const { return spt_emulations_; }
 
   // --- EnginePort ------------------------------------------------------
-  uint64_t ReadPte(uint64_t pte_pa) override;
   bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
   void BeginPteBatch() override;
   void EndPteBatch() override;
-  uint64_t AllocDataPage() override;
-  void FreeDataPage(uint64_t pa) override;
-  uint64_t AllocPtp(int level) override;
-  void FreePtp(uint64_t pa, int level) override;
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
   void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
-  void InvalidatePage(uint64_t va) override;
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
   TouchResult DoUserTouch(uint64_t va, bool write) override;
   uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
   void OnKill() override;
+  void ChargeFreshBacking() override;
 
  private:
   // One PVM "VM exit" round trip: host entry/exit without virtualization
@@ -68,8 +62,6 @@ class PvmEngine : public ContainerEngine {
   // Charges the extra redirection legs of a syscall (no full exit).
   void ChargeSyscallRedirect();
 
-  uint64_t Backing(uint64_t gpa, bool create);
-  uint64_t GuestPhysAlloc();
   // Shadow root for a guest process root, created on demand.
   uint64_t ShadowRoot(uint64_t guest_root);
   // Mirrors a guest leaf update into the shadow table when the update
@@ -77,19 +69,12 @@ class PvmEngine : public ContainerEngine {
   void SyncShadowLeaf(uint64_t guest_root, uint64_t va, uint64_t guest_pte);
 
   PageTableEditor shadow_editor_;
-  // gPA pages are bump-allocated densely from page 1, so the gPA -> hPA
-  // backing table is a direct-indexed vector, not a hash map.
-  GfnMap backing_;
   // guest root -> shadow root (hPA), in creation order. A plain vector:
   // a guest has a handful of processes, and StorePte scans this on every
   // leaf update — insertion order makes that scan deterministic (an
   // unordered_map here would hand iteration order to the hash function;
   // see the container-order regression test).
   std::vector<std::pair<uint64_t, uint64_t>> shadow_roots_;
-  std::vector<uint64_t> guest_free_list_;
-  // gPA page 0 is reserved: the first allocation is the init PML4, and
-  // pt_root == 0 is the guest kernel's "no address space" sentinel.
-  uint64_t guest_ram_next_ = 1;
   bool cold_faults_ = false;
   bool in_batch_ = false;
   int batch_pending_ = 0;

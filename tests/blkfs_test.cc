@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/blkfs/blkfs.h"
@@ -13,6 +14,7 @@
 #include "src/cluster/sim_cluster.h"
 #include "src/runtime/runtime.h"
 #include "src/snap/snapshot.h"
+#include "src/virt/hvm_engine.h"
 #include "src/workloads/blkfs_workload.h"
 
 namespace cki {
@@ -272,6 +274,65 @@ TEST(BlkfsDedup, SiblingsShareBaseFramesAndReapExactly) {
 
   fs_a.reset();
   fs_b.reset();
+}
+
+// HVM and PVM keep a freed private gPA's backing so the next allocation
+// reuses it warm. Adopting a shared base frame into such a recycled gPA
+// must release that private frame: otherwise every {mmap, touch, munmap,
+// pread new base blocks} round strands one owned, unmapped host frame per
+// page until the kill sweep.
+TEST(BlkfsDedup, AdoptingIntoRecycledGpaReleasesItsPrivateFrame) {
+  constexpr uint64_t kPages = 64;
+  constexpr uint64_t kRounds = 5;
+  // HVM with 2 MiB EPT backing retains segment pages, which must not be
+  // released one by one (FreeFrame would count each as a double free).
+  struct Case {
+    RuntimeKind kind;
+    bool ept_huge;
+  };
+  for (Case c : {Case{RuntimeKind::kHvm, false}, Case{RuntimeKind::kHvm, true},
+                 Case{RuntimeKind::kPvm, false}}) {
+    SCOPED_TRACE(std::string(RuntimeKindName(c.kind)) + (c.ept_huge ? "-2M" : ""));
+    Testbed bed(c.kind, Deployment::kBareMetal);
+    if (c.ept_huge) {
+      static_cast<HvmEngine&>(bed.engine()).set_ept_huge_pages(true);
+    }
+    ContainerEngine& e = bed.engine();
+    FrameAllocator& frames = bed.machine().frames();
+    LayerStore store(bed.machine());
+    BlkfsImageSpec spec = OneFile(kPages * kRounds);
+    BlkfsConfig cfg;
+    cfg.cache_pages = kPages * kRounds;  // no eviction: every share stays
+    cfg.readahead_window = 0;            // one adoption per pread
+    Blkfs fs(e, store, BuildBlkfsImage(store, spec), spec, cfg);
+    int64_t fd = OpenBlkfs(e, kFileName);
+
+    std::vector<uint64_t> owned;
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      uint64_t heap = e.MmapAnon(kPages * kPageSize, /*populate=*/false);
+      for (uint64_t i = 0; i < kPages; ++i) {
+        ASSERT_EQ(e.UserTouch(heap + i * kPageSize, /*write=*/true), TouchResult::kOk);
+      }
+      ASSERT_TRUE(e.UserSyscall(SyscallRequest{.no = Sys::kMunmap,
+                                               .arg0 = heap,
+                                               .arg1 = kPages * kPageSize})
+                      .ok());
+      for (uint64_t b = 0; b < kPages; ++b) {
+        uint64_t block = round * kPages + b;
+        ASSERT_EQ(Pread(e, fd, kPageSize, block * kPageSize), static_cast<int64_t>(kPageSize));
+      }
+      owned.push_back(frames.OwnedFrames(e.id()));
+    }
+    EXPECT_EQ(fs.counters().base_shares, kPages * kRounds);
+    EXPECT_EQ(frames.SharedFrames(e.id()), kPages * kRounds);
+    for (uint64_t round = 1; round < kRounds; ++round) {
+      EXPECT_LE(owned[round], owned[round - 1]) << "owned frames grew in round " << round;
+    }
+
+    e.KillFromFault();
+    EXPECT_EQ(frames.OwnedFrames(e.id()) + frames.SharedFrames(e.id()), 0u);
+    EXPECT_EQ(frames.double_frees(), 0u);
+  }
 }
 
 // --- mmap cooperation -------------------------------------------------------

@@ -1,7 +1,7 @@
 // Regression tests for the ISSUE-9 raw-speed refactor (DESIGN.md §14).
 //
 // The refactor swapped hash maps for direct-indexed tables (FrameAllocator
-// owner nodes, engine GfnMaps, the PVM shadow-root vector) and batched the
+// owner nodes, engine gPA backing tables, the PVM shadow-root vector) and batched the
 // FNV-1a digest mixing. None of that may change a single simulated result:
 //
 //  * the canonical FNV-1a helpers must be bit-identical to the chained
@@ -23,8 +23,8 @@
 #include "src/cki/cki_engine.h"
 #include "src/cluster/sim_cluster.h"
 #include "src/host/frame_allocator.h"
-#include "src/runtime/gfn_map.h"
 #include "src/runtime/runtime.h"
+#include "src/runtime/two_stage_engine.h"
 #include "src/sim/fnv.h"
 #include "src/snap/snapshot.h"
 
@@ -119,19 +119,34 @@ TEST(ReclaimOrderTest, OrderGuaranteeIsConstructionalNotHistorical) {
   }
 }
 
-TEST(GfnMapTest, DirectIndexedLookupAndAbsentSentinel) {
-  GfnMap map(/*base_gfn=*/100);
-  EXPECT_EQ(map.Get(100), 0u);  // absent
-  EXPECT_EQ(map.Get(99), 0u);   // below base: safely absent (unsigned wrap)
-  map.Set(100, 0x1'0000'0000ULL);
-  map.Set(163, 0x1'0004'0000ULL);
-  EXPECT_EQ(map.Get(100), 0x1'0000'0000ULL);
-  EXPECT_EQ(map.Get(163), 0x1'0004'0000ULL);
-  EXPECT_EQ(map.Get(130), 0u);  // in range, never set
-  map.Erase(100);
-  EXPECT_EQ(map.Get(100), 0u);
-  map.Clear();
-  EXPECT_EQ(map.Get(163), 0u);
+TEST(GpaArenaTest, DirectIndexedLookupAndAbsentSentinel) {
+  GpaArena arena(/*base_gfn=*/100);
+  EXPECT_EQ(arena.Backing(100), 0u);  // absent
+  EXPECT_EQ(arena.Backing(99), 0u);   // below base: safely absent (unsigned wrap)
+  arena.Bind(100, 0x1'0000'0000ULL);
+  arena.Bind(163, 0x1'0004'0000ULL);
+  EXPECT_EQ(arena.Backing(100), 0x1'0000'0000ULL);
+  EXPECT_EQ(arena.Backing(163), 0x1'0004'0000ULL);
+  EXPECT_EQ(arena.Backing(130), 0u);  // in range, never set
+  arena.Unbind(100);
+  EXPECT_EQ(arena.Backing(100), 0u);
+  arena.Clear();
+  EXPECT_EQ(arena.Backing(163), 0u);
+}
+
+TEST(GpaArenaTest, BumpsFromBaseAndReusesLifo) {
+  GpaArena arena(/*base_gfn=*/1);
+  EXPECT_EQ(arena.Alloc(), 1 * kPageSize);
+  EXPECT_EQ(arena.Alloc(), 2 * kPageSize);
+  EXPECT_EQ(arena.Alloc(), 3 * kPageSize);
+  arena.Free(1 * kPageSize);
+  arena.Free(3 * kPageSize);
+  EXPECT_EQ(arena.Alloc(), 3 * kPageSize);  // most recently freed first
+  EXPECT_EQ(arena.Alloc(), 1 * kPageSize);
+  EXPECT_EQ(arena.Alloc(), 4 * kPageSize);
+  arena.Free(2 * kPageSize);
+  arena.Clear();  // the kill path drops the free list, never rewinds the bump
+  EXPECT_EQ(arena.Alloc(), 5 * kPageSize);
 }
 
 // --- arena reuse: exact pre-alloc footprint after kill/reap ------------------
