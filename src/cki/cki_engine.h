@@ -105,8 +105,9 @@ class CkiEngine : public ContainerEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  // Direct delivery into the guest kernel; the iret is a KSM operation
+  // (fused with the handler's PTE update), and a PKS trap kills.
+  bool HandleUserFault(const Fault& f, uint64_t va, bool write) override;
   void OnKill() override;
 
  private:

@@ -21,6 +21,23 @@
 //                        host frames on first use (src/runtime)
 //   CKI                  its delegated segment, PTPs declared to the KSM
 //                        (ReadPte is the default)
+//
+// The control flow around each mechanism lives once in ContainerEngine
+// (src/runtime): the user-touch loop, the fault-domain wrappers, and
+// native defaults for the fault step, the syscall path and the CR3 load.
+// Each design overrides only what differs:
+//               HandleUserFault        DoUserSyscall        LoadAddressSpace
+//   RunC        native delivery        native               native mov cr3
+//   LibOS       native delivery        function call        native (16 PCIDs)
+//   gVisor      native + Sentry extra  Systrap redirection  native, inside a
+//                                                           host syscall
+//   HVM         native + L2 extra;     native               native (no exit
+//               EPT violation exit                          under EPT)
+//   PVM         stale-shadow fill or   redirected to the    hypercall, then
+//               redirected exception   guest kernel         native load of the
+//                                                           shadow root
+//   CKI         PKS-trap kill, fused   OPT2/OPT3 ablation   KSM-validated root
+//               KSM iret, OPT2 CR3     switches
 #ifndef SRC_GUEST_ENGINE_PORT_H_
 #define SRC_GUEST_ENGINE_PORT_H_
 
@@ -68,19 +85,12 @@ class EnginePort {
   // Allocates/frees one zeroed data page, returning its guest-visible PA.
   virtual uint64_t AllocDataPage() = 0;
   virtual void FreeDataPage(uint64_t pa) = 0;
-  // Allocates a 2 MiB-aligned contiguous run backing a huge mapping.
-  // Only meaningful when huge_pages_enabled().
-  virtual uint64_t AllocDataHugePage() { return 0; }
   // Allocates a page-table page. Under CKI this *declares* the PTP to the
   // monitor (type + level recorded, PTE re-keyed to the PTP domain).
   virtual uint64_t AllocPtp(int level) = 0;
   // Releases a page-table page on address-space teardown (undeclared
   // under CKI after the monitor checks it is no longer referenced).
   virtual void FreePtp(uint64_t pa, int level) = 0;
-
-  // Whether the configuration backs VM memory with 2 MiB mappings
-  // (the "2M" variants in Figure 12 / Table 4).
-  virtual bool huge_pages_enabled() const { return false; }
 
   // --- control ---------------------------------------------------------
   // Invokes host-kernel functionality. Returns an op-defined value.

@@ -68,7 +68,6 @@ FreeResult FrameAllocator::FreeFrame(uint64_t pa) {
     return FreeResult::kOk;
   }
   node->owner[off] = kNoOwner;
-  node->carved[off] = false;
   free_list_.push_back(pa);
   allocated_--;
   return FreeResult::kOk;
@@ -130,7 +129,6 @@ uint64_t FrameAllocator::ReclaimOwner(OwnerId owner) {
         continue;
       }
       node->owner[off] = kNoOwner;
-      node->carved[off] = false;
       free_list_.push_back(base_ + idx * kPageSize);
       freed++;
     }
@@ -138,7 +136,8 @@ uint64_t FrameAllocator::ReclaimOwner(OwnerId owner) {
 
   // Delegated segments: return every page, drop the ownership record.
   // Pages carved out by an earlier transfer belong to another container
-  // now; pages with live sharers transfer instead of freeing.
+  // now — or were already freed by it — and never return through the
+  // segment; pages with live sharers transfer instead of freeing.
   for (auto it = segments_.begin(); it != segments_.end();) {
     if (it->second == owner) {
       const PhysSegment& seg = it->first;
@@ -146,7 +145,7 @@ uint64_t FrameAllocator::ReclaimOwner(OwnerId owner) {
         uint64_t idx = FrameIndex(seg.base + i * kPageSize);
         OwnerNode* node = NodeFor(idx);
         uint64_t off = idx & (kNodeFrames - 1);
-        if (node != nullptr && node->owner[off] != kNoOwner) {
+        if (node != nullptr && (node->owner[off] != kNoOwner || node->carved[off])) {
           node->carved[off] = false;  // segment record goes away; owner rules now
           continue;
         }
@@ -200,9 +199,15 @@ uint64_t FrameAllocator::OwnedFrames(OwnerId owner) const {
 }
 
 OwnerId FrameAllocator::OwnerOf(uint64_t pa) const {
-  OwnerId owner = OwnerSlot(FrameIndex(pa));
-  if (owner != kNoOwner) {
-    return owner;
+  uint64_t idx = FrameIndex(pa);
+  if (const OwnerNode* node = NodeFor(idx); node != nullptr) {
+    uint64_t off = idx & (kNodeFrames - 1);
+    if (node->owner[off] != kNoOwner) {
+      return node->owner[off];
+    }
+    if (node->carved[off]) {
+      return kHostOwner;  // carved out, then freed: not the segment's
+    }
   }
   for (const auto& [seg, seg_owner] : segments_) {
     if (seg.Contains(pa)) {

@@ -128,7 +128,9 @@ class FrameAllocator {
   struct OwnerNode {
     std::array<OwnerId, kNodeFrames> owner;
     // Segment pages whose primacy was transferred away from the segment
-    // owner (excluded from the segment's sweep and leak count).
+    // owner (excluded from the segment's sweep, leak count and OwnerOf).
+    // Only the segment's own sweep clears the bit, so a carved page never
+    // returns through its old segment, whoever frees it first.
     std::bitset<kNodeFrames> carved;
     OwnerNode() { owner.fill(kNoOwner); }
   };

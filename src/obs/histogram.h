@@ -85,7 +85,10 @@ class Histogram {
     if (other.count_ == 0) {
       return;
     }
-    for (size_t i = 0; i < kBucketCount; ++i) {
+    // Every sample of `other` lies in [min_, max_] and BucketIndex is
+    // monotonic, so only the buckets between theirs can be nonzero.
+    const size_t last = BucketIndex(other.max_);
+    for (size_t i = BucketIndex(other.min_); i <= last; ++i) {
       buckets_[i] += other.buckets_[i];
     }
     min_ = (count_ == 0) ? other.min_ : std::min(min_, other.min_);
@@ -114,7 +117,7 @@ class Histogram {
       return static_cast<double>(max_);  // the exact max is tracked
     }
     uint64_t cum = 0;
-    for (size_t i = 0; i < kBucketCount; ++i) {
+    for (size_t i = BucketIndex(min_); i < kBucketCount; ++i) {  // none below min_
       cum += buckets_[i];
       if (cum >= target) {
         if (i == kOverflowBucket) {

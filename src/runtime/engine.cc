@@ -62,6 +62,19 @@ SyscallResult ContainerEngine::UserSyscall(const SyscallRequest& req) {
   }
 }
 
+SyscallResult ContainerEngine::DoUserSyscall(const SyscallRequest& req) {
+  // Native path: syscall -> ring-0 handler -> sysret. 90 ns plus handler.
+  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
+  Cpu& cpu = machine_.cpu();
+  ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
+  cpu.SyscallEntry();
+  ctx_.ChargeWork(ctx_.cost().syscall_handler_min);
+  SyscallResult result = kernel_->HandleSyscall(req);
+  ctx_.Charge(ctx_.cost().sysret_exit, PathEvent::kSyscallExit);
+  cpu.Sysret(/*requested_if=*/true);
+  return result;
+}
+
 TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
   if (killed_) {
     return TouchResult::kKilled;
@@ -71,7 +84,20 @@ TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
       machine_.faults().Raise(
           FaultReport{FaultKind::kPksTrap, id_, va});
     }
-    return DoUserTouch(va, write);
+    TraceScope obs_scope(ctx_, id_, "touch");
+    Cpu& cpu = machine_.cpu();
+    cpu.set_cpl(Cpl::kUser);
+    AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
+    for (int attempt = 0; attempt < kTouchAttempts; ++attempt) {
+      Fault f = cpu.Access(va, intent);
+      if (!f) {
+        return TouchResult::kOk;
+      }
+      if (!HandleUserFault(f, va, write)) {
+        return TouchResult::kSegv;
+      }
+    }
+    return TouchResult::kSegv;
   } catch (const ContainerKilled& killed) {
     if (killed.owner() != id_) {
       throw;
@@ -80,12 +106,28 @@ TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
   }
 }
 
+bool ContainerEngine::DeliverNativeFault(const Fault& f, uint64_t va, bool write,
+                                         SimNanos handler_extra) {
+  if (!IsGuestPageFault(f)) {
+    return false;
+  }
+  TraceScope fault_scope(ctx_, "fault");
+  Cpu& cpu = machine_.cpu();
+  ctx_.Charge(ctx_.cost().fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  ctx_.ChargeWork(handler_extra);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  ctx_.ChargeWork(ctx_.cost().iret_native);
+  cpu.set_cpl(Cpl::kUser);
+  return resolved;
+}
+
 uint64_t ContainerEngine::GuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
   if (killed_) {
     return 0;
   }
   try {
-    return DoGuestHypercall(op, a0, a1);
+    return Hypercall(op, a0, a1);
   } catch (const ContainerKilled& killed) {
     if (killed.owner() != id_) {
       throw;
@@ -131,6 +173,11 @@ void ContainerEngine::FreePtp(uint64_t pa, int level) {
 }
 
 void ContainerEngine::InvalidatePage(uint64_t va) { machine_.cpu().Invlpg(va); }
+
+void ContainerEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
+  ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
+  machine_.cpu().LoadCr3(MakeCr3(root_pa, Pcid(asid)));
+}
 
 bool ContainerEngine::FrameShared(uint64_t pa) const {
   uint64_t hpa = HostFrameFor(pa);

@@ -84,20 +84,21 @@ class ContainerEngine : public EnginePort {
   // entry/exit path. Returns kEKILLED once the container is dead.
   SyscallResult UserSyscall(const SyscallRequest& req);
 
-  // A user-mode memory access, through the MMU; faults are carried through
-  // the design's full delivery/handling/return path.
+  // A user-mode memory access, through the MMU. Every design runs the same
+  // loop: {touch scope, cpl := user, Access}, and on a fault the design's
+  // HandleUserFault step, then the access again (at most kTouchAttempts
+  // accesses; a fresh HVM page takes a guest #PF and an EPT violation).
   //
-  // Clean-hit fast path (DESIGN.md §14): engines whose DoUserTouch
-  // prologue is exactly {touch scope, cpl := user, Access} opt in via
-  // fast_touch_. For those, a committed TLB hit with no fault is
-  // bit-identical to the full path whenever observability is disabled
-  // (the touch span is the only thing the full path would add, and a
-  // disabled hub records nothing). A live injector, a killed container,
-  // an enabled hub, a miss, or any fault falls through to the full
-  // wrapper — which re-runs the access from scratch, side effects
-  // untouched (TryUserTouchFast commits nothing on failure).
+  // Clean-hit fast path (DESIGN.md §14): because the prologue is shared, a
+  // committed TLB hit with no fault is bit-identical to the full path
+  // whenever observability is disabled (the touch span is the only thing
+  // the full path would add, and a disabled hub records nothing). A live
+  // injector, a killed container, an enabled hub, a miss, or any fault
+  // falls through to the full path — which re-runs the access from
+  // scratch, side effects untouched (TryUserTouchFast commits nothing on
+  // failure).
   TouchResult UserTouch(uint64_t va, bool write) {
-    if (fast_touch_ && !killed_ && injector_ == nullptr && !ctx_.obs().enabled()) {
+    if (!killed_ && injector_ == nullptr && !ctx_.obs().enabled()) {
       Cpu& cpu = machine_.cpu();
       cpu.set_cpl(Cpl::kUser);
       if (cpu.TryUserTouchFast(va, write ? AccessIntent::Write() : AccessIntent::Read())) {
@@ -108,7 +109,8 @@ class ContainerEngine : public EnginePort {
   }
 
   // A guest-kernel-level request to the host (the "empty hypercall" of the
-  // microbenchmarks). RunC has no hypervisor, so its engine returns 0 cost.
+  // microbenchmarks) through the design's Hypercall. RunC has no
+  // hypervisor, so its Hypercall returns at 0 cost.
   uint64_t GuestHypercall(HypercallOp op, uint64_t a0 = 0, uint64_t a1 = 0);
 
   // --- virtio path primitives (I/O workloads) -------------------------------
@@ -166,6 +168,10 @@ class ContainerEngine : public EnginePort {
   void FreePtp(uint64_t pa, int level) override;
   // invlpg: directly executable in every design but LibOS, which overrides.
   void InvalidatePage(uint64_t va) override;
+  // The native CR3 load: a raw mov cr3 with the address space's PCID.
+  // RunC, HVM (no exit under EPT) and LibOS take it; gVisor and PVM wrap
+  // it in their host round trip.
+  void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
 
   // CoW sharing; see engine_port.h.
   bool FrameShared(uint64_t pa) const override;
@@ -178,17 +184,41 @@ class ContainerEngine : public EnginePort {
   // it into any free list.
   bool ReleaseSharedDataFrame(uint64_t pa);
 
-  // Design-specific implementations behind the fault-domain wrappers.
-  virtual SyscallResult DoUserSyscall(const SyscallRequest& req) = 0;
-  virtual TouchResult DoUserTouch(uint64_t va, bool write) = 0;
-  virtual uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) = 0;
+  // The design's syscall path behind the UserSyscall wrapper. The default
+  // is native (RunC, HVM): syscall -> ring-0 handler -> sysret.
+  virtual SyscallResult DoUserSyscall(const SyscallRequest& req);
+
+  // The fault step of the touch loop: carries fault `f` of a user access
+  // to `va` across the design's isolation boundary. Returns true to retry
+  // the access, false to deliver SIGSEGV. The default is native delivery
+  // (RunC, LibOS); gVisor and HVM add their handler surcharge to it, PVM
+  // and CKI replace it with their own mechanism.
+  virtual bool HandleUserFault(const Fault& f, uint64_t va, bool write) {
+    return DeliverNativeFault(f, va, write, 0);
+  }
+
+  // Native delivery of a #PF: the `fault` scope, fault_delivery into the
+  // kernel, `handler_extra` of design surcharge, the guest kernel's
+  // handler, then iret. Any other fault type is a SIGSEGV.
+  bool DeliverNativeFault(const Fault& f, uint64_t va, bool write, SimNanos handler_extra);
+
+  // True for the #PF types a guest kernel's fault handler resolves.
+  static bool IsGuestPageFault(const Fault& f) {
+    return f.type == FaultType::kPageNotPresent || f.type == FaultType::kPageProtection;
+  }
+
+  // PCID of guest address space `asid`: its slot in this engine's range.
+  uint16_t Pcid(uint16_t asid) const {
+    return static_cast<uint16_t>(pcid_base_ + (asid & (pcid_count_ - 1)));
+  }
 
   // Engine-specific teardown run first on a kill (drop monitor state,
   // shadow roots, ...). Must not call back into guest code.
   virtual void OnKill() {}
 
   // Claims this engine's hardware PCID range (recorded so the kill path
-  // can flush exactly this container's TLB contexts).
+  // can flush exactly this container's TLB contexts). `count` is a power
+  // of two: Pcid() masks the guest's asid into the range.
   void AllocPcids(uint16_t count) {
     pcid_base_ = machine_.AllocPcidRange(count);
     pcid_count_ = count;
@@ -201,15 +231,13 @@ class ContainerEngine : public EnginePort {
   uint16_t pcid_base_ = 0;
   uint16_t pcid_count_ = 0;
   FaultInjector* injector_ = nullptr;
-  // Opt-in for the clean-hit touch fast path (see UserTouch). An engine
-  // may set this ONLY if its DoUserTouch does nothing on a no-fault hit
-  // beyond the canonical {touch scope, cpl := user, Access} sequence.
-  bool fast_touch_ = false;
 
  private:
-  // The full fault-domain path: injector hook, DoUserTouch dispatch,
-  // ContainerKilled unwind. Every touch took this route before the
-  // fast path existed; misses and faults still do.
+  // Bound on accesses per touch before the touch is a SIGSEGV.
+  static constexpr int kTouchAttempts = 6;
+
+  // The full path: injector hook, the touch loop, ContainerKilled unwind.
+  // Misses and faults take it.
   TouchResult UserTouchSlow(uint64_t va, bool write);
 
   bool killed_ = false;

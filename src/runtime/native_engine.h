@@ -21,14 +21,9 @@ class NativeEngine : public ContainerEngine {
   SimNanos InterruptAckCost() const override { return 0; }
 
   // --- EnginePort ------------------------------------------------------
-  // Page tables and frames: ContainerEngine's direct-frame defaults.
+  // Page tables, frames, the CR3 load, syscalls and faults:
+  // ContainerEngine's native defaults.
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
-  void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
-
- protected:
-  SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
 };
 
 }  // namespace cki

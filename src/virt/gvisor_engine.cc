@@ -44,40 +44,12 @@ SyscallResult GvisorEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult GvisorEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
-  Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
-  const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // The host kernel handles application page faults directly (the
-    // design's trick for avoiding shadow paging, sec 2.4.3); the Sentry
-    // only sees faults for ranges it has not host-mmapped yet, which our
-    // model folds into a small surcharge.
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    ctx_.ChargeWork(kSentryHandlerExtra / 2);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    ctx_.ChargeWork(c.iret_native);
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
-  }
-  return TouchResult::kSegv;
-}
-
-uint64_t GvisorEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+bool GvisorEngine::HandleUserFault(const Fault& f, uint64_t va, bool write) {
+  // The host kernel handles application page faults directly (the
+  // design's trick for avoiding shadow paging, sec 2.4.3); the Sentry
+  // only sees faults for ranges it has not host-mmapped yet, which our
+  // model folds into a small surcharge.
+  return DeliverNativeFault(f, va, write, kSentryHandlerExtra / 2);
 }
 
 uint64_t GvisorEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -113,8 +85,7 @@ SimNanos GvisorEngine::VirtioEmulationExtra() const {
 void GvisorEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // Sentry asks the host to switch stubs/address spaces: a host syscall.
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
-  ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
-  machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
+  ContainerEngine::LoadAddressSpace(root_pa, asid);
   ctx_.Charge(ctx_.cost().mode_switch, PathEvent::kModeSwitch);
 }
 

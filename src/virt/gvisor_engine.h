@@ -36,8 +36,9 @@ class GvisorEngine : public ContainerEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  // Native delivery (the host kernel handles app faults) plus a Sentry
+  // surcharge.
+  bool HandleUserFault(const Fault& f, uint64_t va, bool write) override;
 };
 
 }  // namespace cki

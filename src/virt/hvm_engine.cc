@@ -10,7 +10,6 @@ HvmEngine::HvmEngine(Machine& machine)
       ept_(machine.mem(),
            [this](int /*level*/) { return machine_.frames().AllocFrame(kHostOwner); }) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
 void HvmEngine::Boot() {
@@ -75,64 +74,18 @@ void HvmEngine::HandleEptViolation(uint64_t gpa) {
   }
 }
 
-SyscallResult HvmEngine::DoUserSyscall(const SyscallRequest& req) {
-  // Native-speed syscalls inside the guest: no VM exit involved.
-  SyscallScope obs_scope(ctx_, id_, SysName(req.no));
-  Cpu& cpu = machine_.cpu();
-  ctx_.Charge(ctx_.cost().syscall_entry, PathEvent::kSyscallEntry);
-  cpu.SyscallEntry();
-  ctx_.ChargeWork(ctx_.cost().syscall_handler_min);
-  SyscallResult result = kernel_->HandleSyscall(req);
-  ctx_.Charge(ctx_.cost().sysret_exit, PathEvent::kSyscallExit);
-  cpu.Sysret(/*requested_if=*/true);
-  return result;
-}
-
-TouchResult HvmEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
-  Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
-  const CostModel& c = ctx_.cost();
-  // A fresh page typically needs both a guest #PF and then an EPT
-  // violation on the retry; bound the loop defensively.
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    switch (f.type) {
-      case FaultType::kPageNotPresent:
-      case FaultType::kPageProtection: {
-        // Guest-internal fault: delivered and handled entirely in the L2
-        // guest kernel (slightly heavier than native, Fig 10a).
-        TraceScope fault_scope(ctx_, "fault");
-        ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-        cpu.set_cpl(Cpl::kKernel);
-        ctx_.ChargeWork(c.hvm_guest_handler_extra);
-        if (nested()) {
-          ctx_.ChargeWork(c.hvm_nested_guest_handler_extra);
-        }
-        bool resolved = kernel_->HandlePageFault(va, write);
-        ctx_.ChargeWork(c.iret_native);
-        cpu.set_cpl(Cpl::kUser);
-        if (!resolved) {
-          return TouchResult::kSegv;
-        }
-        break;
-      }
-      case FaultType::kEptViolation:
-        HandleEptViolation(f.va);
-        break;
-      default:
-        return TouchResult::kSegv;
-    }
+bool HvmEngine::HandleUserFault(const Fault& f, uint64_t va, bool write) {
+  // A fresh page typically takes a guest #PF and then an EPT violation on
+  // the retry.
+  if (f.type == FaultType::kEptViolation) {
+    HandleEptViolation(f.va);
+    return true;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t HvmEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+  // Guest-internal fault: delivered and handled entirely in the L2 guest
+  // kernel (slightly heavier than native, Fig 10a).
+  const CostModel& c = ctx_.cost();
+  return DeliverNativeFault(
+      f, va, write, c.hvm_guest_handler_extra + (nested() ? c.hvm_nested_guest_handler_extra : 0));
 }
 
 uint64_t HvmEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -181,12 +134,6 @@ bool HvmEngine::StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va
   ctx_.Charge(ctx_.cost().pte_write_native, PathEvent::kPteUpdate);
   machine_.mem().WriteU64(Backing(pte_pa, /*create=*/false), value);
   return true;
-}
-
-void HvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
-  // Guest CR3 loads do not exit under EPT.
-  ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
-  machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
 }
 
 void HvmEngine::SnapCaptureConfig(SnapWriter& w) const {

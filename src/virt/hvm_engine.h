@@ -48,14 +48,14 @@ class HvmEngine : public TwoStageEngine {
   const Ept& ept() const { return ept_; }
 
   // --- EnginePort ------------------------------------------------------
+  // Syscalls and guest CR3 loads stay inside the guest: ContainerEngine's
+  // native defaults.
   bool StorePte(uint64_t pte_pa, uint64_t value, int level, uint64_t va) override;
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
-  void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
 
  protected:
-  SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  // Native delivery plus the L2 handler surcharge; EPT violations exit.
+  bool HandleUserFault(const Fault& f, uint64_t va, bool write) override;
 
   // Every gPA binding is mirrored into the EPT (the host-owned EPT table
   // pages stay with the host allocator on a kill).

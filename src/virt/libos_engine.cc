@@ -43,34 +43,6 @@ SyscallResult LibOsEngine::DoUserSyscall(const SyscallRequest& req) {
   return kernel_->HandleSyscall(req);
 }
 
-TouchResult LibOsEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
-  Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
-  const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // The unikernel process's faults are handled by the host kernel.
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    ctx_.ChargeWork(c.iret_native);
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
-  }
-  return TouchResult::kSegv;
-}
-
 bool LibOsEngine::AppCanTouchLibOsState() {
   MapLibOsState();
   Cpu& cpu = machine_.cpu();
@@ -79,10 +51,6 @@ bool LibOsEngine::AppCanTouchLibOsState() {
   // mapping, no protection boundary. It simply works — the weakness.
   Fault f = cpu.Access(kLibOsStateVa, AccessIntent::Write());
   return f.ok();
-}
-
-uint64_t LibOsEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
 }
 
 uint64_t LibOsEngine::Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
@@ -104,11 +72,6 @@ SimNanos LibOsEngine::KickCost() const {
 
 SimNanos LibOsEngine::DeviceInterruptCost() const {
   return ctx_.cost().hw_interrupt_delivery;
-}
-
-void LibOsEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
-  ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
-  machine_.cpu().LoadCr3(MakeCr3(root_pa, static_cast<uint16_t>(pcid_base_ + (asid & 0xF))));
 }
 
 void LibOsEngine::InvalidatePage(uint64_t va) {

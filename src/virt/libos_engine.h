@@ -32,15 +32,13 @@ class LibOsEngine : public ContainerEngine {
   bool AppCanTouchLibOsState();
 
   // --- EnginePort ------------------------------------------------------
-  // Page tables and frames: ContainerEngine's direct-frame defaults.
+  // Page tables, frames and the CR3 load: ContainerEngine's defaults (16
+  // PCIDs). Faults take native delivery: the host kernel handles them.
   uint64_t Hypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
-  void LoadAddressSpace(uint64_t root_pa, uint16_t asid) override;
   void InvalidatePage(uint64_t va) override;
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
 
  private:
   // LibOS state page mapped user-accessible (the whole point of the test).

@@ -14,7 +14,6 @@ PvmEngine::PvmEngine(Machine& machine)
                        return true;
                      }) {
   AllocPcids(256);
-  fast_touch_ = true;  // DoUserTouch prologue is the canonical hit sequence
 }
 
 void PvmEngine::ChargeFreshBacking() {
@@ -103,53 +102,37 @@ SyscallResult PvmEngine::DoUserSyscall(const SyscallRequest& req) {
   return result;
 }
 
-TouchResult PvmEngine::DoUserTouch(uint64_t va, bool write) {
-  TraceScope obs_scope(ctx_, id_, "touch");
-  Cpu& cpu = machine_.cpu();
-  cpu.set_cpl(Cpl::kUser);
-  AccessIntent intent = write ? AccessIntent::Write() : AccessIntent::Read();
-  const CostModel& c = ctx_.cost();
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    Fault f = cpu.Access(va, intent);
-    if (!f) {
-      return TouchResult::kOk;
-    }
-    if (f.type != FaultType::kPageNotPresent && f.type != FaultType::kPageProtection) {
-      return TouchResult::kSegv;
-    }
-    // Every fault first traps to the host kernel, which walks the guest
-    // page table to classify it (true guest fault vs stale shadow entry).
-    TraceScope fault_scope(ctx_, "fault");
-    ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
-    cpu.set_cpl(Cpl::kKernel);
-    uint64_t guest_root = kernel_->current().pt_root;
-    WalkResult guest_walk = kernel_->editor().Walk(guest_root, va);
-    bool stale_shadow = !guest_walk.fault && (!f.was_write || PteWritable(guest_walk.leaf_pte));
-    if (stale_shadow) {
-      // The guest mapping exists; only the shadow entry is missing.
-      TraceScope fill_scope(ctx_, "spt/fill");
-      ctx_.Charge(c.spt_hidden_fill, PathEvent::kShadowPtUpdate);
-      SyncShadowLeaf(guest_root, va & ~(kPageSize - 1), guest_walk.leaf_pte);
-      cpu.set_cpl(Cpl::kUser);
-      continue;
-    }
-    // Redirect into the user-mode guest kernel (exception injection).
-    ChargePvmExit();
-    ctx_.ChargeWork(c.pvm_exception_inject);
-    ctx_.ChargeWork(c.pvm_guest_handler_extra);
-    bool resolved = kernel_->HandlePageFault(va, write);
-    // Return to the faulting application via the host kernel.
-    ChargePvmExit();
-    cpu.set_cpl(Cpl::kUser);
-    if (!resolved) {
-      return TouchResult::kSegv;
-    }
+bool PvmEngine::HandleUserFault(const Fault& f, uint64_t va, bool write) {
+  if (!IsGuestPageFault(f)) {
+    return false;
   }
-  return TouchResult::kSegv;
-}
-
-uint64_t PvmEngine::DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) {
-  return Hypercall(op, a0, a1);
+  // Every fault first traps to the host kernel, which walks the guest
+  // page table to classify it (true guest fault vs stale shadow entry).
+  TraceScope fault_scope(ctx_, "fault");
+  Cpu& cpu = machine_.cpu();
+  const CostModel& c = ctx_.cost();
+  ctx_.Charge(c.fault_delivery, PathEvent::kPageFault);
+  cpu.set_cpl(Cpl::kKernel);
+  uint64_t guest_root = kernel_->current().pt_root;
+  WalkResult guest_walk = kernel_->editor().Walk(guest_root, va);
+  bool stale_shadow = !guest_walk.fault && (!f.was_write || PteWritable(guest_walk.leaf_pte));
+  if (stale_shadow) {
+    // The guest mapping exists; only the shadow entry is missing.
+    TraceScope fill_scope(ctx_, "spt/fill");
+    ctx_.Charge(c.spt_hidden_fill, PathEvent::kShadowPtUpdate);
+    SyncShadowLeaf(guest_root, va & ~(kPageSize - 1), guest_walk.leaf_pte);
+    cpu.set_cpl(Cpl::kUser);
+    return true;
+  }
+  // Redirect into the user-mode guest kernel (exception injection).
+  ChargePvmExit();
+  ctx_.ChargeWork(c.pvm_exception_inject);
+  ctx_.ChargeWork(c.pvm_guest_handler_extra);
+  bool resolved = kernel_->HandlePageFault(va, write);
+  // Return to the faulting application via the host kernel.
+  ChargePvmExit();
+  cpu.set_cpl(Cpl::kUser);
+  return resolved;
 }
 
 void PvmEngine::OnKill() {
@@ -243,13 +226,10 @@ void PvmEngine::EndPteBatch() {
 
 void PvmEngine::LoadAddressSpace(uint64_t root_pa, uint16_t asid) {
   // A guest process switch is a hypercall: the host locates the shadow
-  // root for the new guest root and loads it.
+  // root for the new guest root and loads it natively.
   ChargePvmExit();
   ctx_.ChargeWork(ctx_.cost().pvm_shadow_root_switch);
-  uint64_t shadow_root = ShadowRoot(root_pa);
-  ctx_.Charge(ctx_.cost().cr3_write_raw, PathEvent::kCr3Switch);
-  machine_.cpu().LoadCr3(
-      MakeCr3(shadow_root, static_cast<uint16_t>(pcid_base_ + (asid & 0xFF))));
+  ContainerEngine::LoadAddressSpace(ShadowRoot(root_pa), asid);
 }
 
 void PvmEngine::SnapCaptureConfig(SnapWriter& w) const { w.PutBool(cold_faults_); }

@@ -50,8 +50,9 @@ class PvmEngine : public TwoStageEngine {
 
  protected:
   SyscallResult DoUserSyscall(const SyscallRequest& req) override;
-  TouchResult DoUserTouch(uint64_t va, bool write) override;
-  uint64_t DoGuestHypercall(HypercallOp op, uint64_t a0, uint64_t a1) override;
+  // Host-side classification: a stale shadow entry is filled in place,
+  // a true guest fault is redirected into the user-mode guest kernel.
+  bool HandleUserFault(const Fault& f, uint64_t va, bool write) override;
   void OnKill() override;
   void ChargeFreshBacking() override;
 

@@ -1,9 +1,14 @@
 // Mechanism-level tests of the HVM and PVM engines: lazy EPT backing,
-// shadow-table consistency, batching, cold-fault accounting, and the
-// CKI engine's delegated-segment memory management.
+// shadow-table consistency, batching, cold-fault accounting, the CKI
+// engine's delegated-segment memory management, and the clean-hit touch
+// fast path of every design.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/cki/cki_engine.h"
+#include "src/fault/fault_injector.h"
 #include "src/runtime/runtime.h"
 #include "src/virt/hvm_engine.h"
 #include "src/virt/pvm_engine.h"
@@ -218,6 +223,68 @@ INSTANTIATE_TEST_SUITE_P(Engines, NestedEquivalenceTest,
                          [](const ::testing::TestParamInfo<RuntimeKind>& param_info) {
                            return std::string(RuntimeKindName(param_info.param));
                          });
+
+// --- every design: the clean-hit fast path equals the full path -------------
+
+// Touches, syscalls and address-space switches that mix TLB hits, misses,
+// demand faults, CoW breaks and SIGSEGVs. Returns every touch's result.
+std::vector<TouchResult> DriveTouchSequence(ContainerEngine& e) {
+  constexpr int kPages = 8;
+  std::vector<TouchResult> results;
+  auto pass = [&](uint64_t base, bool write) {
+    for (int i = 0; i < kPages; ++i) {
+      results.push_back(e.UserTouch(base + static_cast<uint64_t>(i) * kPageSize, write));
+    }
+  };
+  uint64_t base = e.MmapAnon(kPages * kPageSize, /*populate=*/false);
+  for (bool write : {false, false, true, true, false}) {
+    pass(base, write);
+  }
+  SyscallResult child = e.UserSyscall(SyscallRequest{.no = Sys::kFork});  // LibOS: EINVAL
+  pass(base, /*write=*/true);  // CoW breaks in the parent
+  pass(base, /*write=*/false);
+  if (child.ok()) {
+    int parent = e.kernel().current().pid;
+    e.kernel().SwitchTo(static_cast<int>(child.value));
+    pass(base, /*write=*/false);
+    pass(base, /*write=*/true);
+    e.kernel().SwitchTo(parent);
+  }
+  e.UserSyscall(SyscallRequest{.no = Sys::kMunmap, .arg0 = base, .arg1 = kPages / 2 * kPageSize});
+  pass(base, /*write=*/false);  // first half now unmapped: SIGSEGV
+  pass(base + (1ull << 30), /*write=*/true);
+  return results;
+}
+
+TEST(TouchFastPath, MatchesTheFullPathOnEveryDesign) {
+  for (RuntimeKind kind :
+       {RuntimeKind::kRunc, RuntimeKind::kHvm, RuntimeKind::kPvm, RuntimeKind::kCki,
+        RuntimeKind::kCkiNoOpt2, RuntimeKind::kCkiNoOpt3, RuntimeKind::kGvisor,
+        RuntimeKind::kLibOs}) {
+    for (Deployment deployment : {Deployment::kBareMetal, Deployment::kNested}) {
+      SCOPED_TRACE(std::string(RuntimeKindName(kind)) +
+                   (deployment == Deployment::kNested ? " nested" : " bare-metal"));
+      Testbed fast(kind, deployment);
+      Testbed full(kind, deployment);
+      // Every rate 0: a live injector sends each touch down the full path
+      // and draws nothing.
+      FaultInjector injector(InjectorConfig{});
+      full.engine().set_injector(&injector);
+
+      std::vector<TouchResult> fast_results = DriveTouchSequence(fast.engine());
+      std::vector<TouchResult> full_results = DriveTouchSequence(full.engine());
+      EXPECT_EQ(fast_results, full_results);
+      EXPECT_EQ(fast.ctx().clock().now(), full.ctx().clock().now());
+      EXPECT_EQ(fast.ctx().trace().Snapshot(), full.ctx().trace().Snapshot());
+      const Tlb& fast_tlb = fast.machine().cpu().tlb();
+      const Tlb& full_tlb = full.machine().cpu().tlb();
+      EXPECT_GT(fast_tlb.hits(), 0u);
+      EXPECT_EQ(fast_tlb.hits(), full_tlb.hits());
+      EXPECT_EQ(fast_tlb.misses(), full_tlb.misses());
+      EXPECT_EQ(injector.draws(), 0u);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cki

@@ -2,6 +2,8 @@
 // and contiguous segment carving (the CKI delegation primitive).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/host/frame_allocator.h"
 
 namespace cki {
@@ -148,6 +150,40 @@ TEST_F(FrameAllocatorTest, OwnedFramesExcludesCarvedSegmentPages) {
   EXPECT_EQ(alloc_.OwnerOf(seg.base), 2u);
   EXPECT_EQ(alloc_.OwnedFrames(9), 3u);
   EXPECT_EQ(alloc_.OwnedFrames(2), 1u);
+}
+
+TEST(FrameAllocatorCarve, CarvedPageNeverReturnsThroughItsOldSegment) {
+  // The carved page's new owner frees it first — by its kill sweep or by
+  // FreeFrame — and only then does the segment owner die.
+  for (bool by_kill_sweep : {true, false}) {
+    SCOPED_TRACE(by_kill_sweep ? "kill sweep" : "FreeFrame");
+    PhysMem mem;
+    FrameAllocator alloc(mem, 0x1000'0000, 1024);
+    PhysSegment seg = alloc.AllocSegment(8, 9);
+    uint64_t page0 = seg.base;
+    alloc.ShareFrame(page0, 2);
+    ASSERT_TRUE(alloc.ReleaseShare(page0, 9));  // carves page 0 out to owner 2
+    ASSERT_EQ(alloc.OwnerOf(page0), 2u);
+    if (by_kill_sweep) {
+      EXPECT_EQ(alloc.ReclaimOwner(2), 1u);
+    } else {
+      EXPECT_EQ(alloc.FreeFrame(page0), FreeResult::kOk);
+    }
+    EXPECT_EQ(alloc.allocated_frames(), 7u);
+    // On the host free list the page belongs to nobody; above all, the
+    // PTP monitor's ownership check must not accept it for the template.
+    EXPECT_EQ(alloc.OwnerOf(page0), kHostOwner);
+    EXPECT_FALSE(alloc.OwnedOrSharedBy(page0, 9));
+    EXPECT_EQ(alloc.OwnedFrames(9), 7u);
+
+    EXPECT_EQ(alloc.ReclaimOwner(9), 7u) << "the segment sweep freed the carved page again";
+    EXPECT_EQ(alloc.allocated_frames(), 0u);
+    EXPECT_EQ(alloc.double_frees(), 0u);
+    std::set<uint64_t> handed_out;
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_TRUE(handed_out.insert(alloc.AllocFrame(3)).second) << "PA handed out twice";
+    }
+  }
 }
 
 }  // namespace

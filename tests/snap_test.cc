@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/cki/cki_engine.h"
@@ -243,6 +244,55 @@ TEST(Clone, KillingCloneLeavesParentFramesIntact) {
   Activate(*parent);
   EXPECT_EQ(parent->UserTouch(base, /*write=*/true), TouchResult::kOk);
   EXPECT_TRUE(parent->UserSyscall(SyscallRequest{.no = Sys::kGetpid}).ok());
+}
+
+TEST(Clone, CkiCarvedPagesFreeOnceWhenTheCloneDiesFirst) {
+  Machine machine(MachineConfigFor(RuntimeKind::kCki, Deployment::kBareMetal));
+  FrameAllocator& frames = machine.frames();
+  auto tmpl = std::make_unique<CkiEngine>(machine, CkiAblation::kNone,
+                                          /*segment_pages=*/4096);
+  tmpl->Boot();
+  constexpr int kPages = 8;
+  uint64_t base = tmpl->MmapAnon(kPages * kPageSize, /*populate=*/true);
+  ASSERT_NE(base, 0u);
+  std::unique_ptr<ContainerEngine> clone = CloneContainer(*tmpl);
+  ASSERT_TRUE(clone->alive());
+
+  // The template's CoW breaks carve its shared segment pages out of the
+  // segment: the clone becomes their only holder.
+  std::vector<uint64_t> carved;
+  for (int i = 0; i < kPages; ++i) {
+    carved.push_back(MappedHostPa(*tmpl, base + static_cast<uint64_t>(i) * kPageSize));
+  }
+  Activate(*tmpl);
+  for (int i = 0; i < kPages; ++i) {
+    ASSERT_EQ(tmpl->UserTouch(base + static_cast<uint64_t>(i) * kPageSize, /*write=*/true),
+              TouchResult::kOk);
+  }
+  for (uint64_t pa : carved) {
+    ASSERT_TRUE(tmpl->segment().Contains(pa));
+    ASSERT_EQ(frames.OwnerOf(pa), clone->id());
+  }
+  uint64_t held = frames.OwnedFrames(tmpl->id()) + frames.OwnedFrames(clone->id());
+  uint64_t reclaimed_before = machine.faults().frames_reclaimed();
+
+  clone->KillFromFault();
+  for (uint64_t pa : carved) {
+    // Free now, and not the template's: its PTP monitor must refuse a PTE
+    // pointing at a frame on the host free list.
+    EXPECT_EQ(frames.OwnerOf(pa), kHostOwner);
+    EXPECT_FALSE(frames.OwnedOrSharedBy(pa, tmpl->id()));
+  }
+  tmpl->KillFromFault();
+  EXPECT_EQ(machine.faults().frames_reclaimed() - reclaimed_before, held)
+      << "a carved page was freed by the clone and again by the segment sweep";
+  EXPECT_EQ(frames.double_frees(), 0u);
+
+  std::set<uint64_t> handed_out;
+  for (int i = 0; i < 12000; ++i) {
+    ASSERT_TRUE(handed_out.insert(frames.AllocFrame(kHostOwner)).second)
+        << "PA handed out twice after " << i << " allocations";
+  }
 }
 
 TEST(Snapshot, NetTraceContextSurvivesCheckpointRestoreAndClone) {
