@@ -26,7 +26,7 @@
 #include "src/cluster/sim_cluster.h"
 #include "src/metrics/report.h"
 #include "src/runtime/runtime.h"
-#include "src/snap/snap_stream.h"
+#include "src/sim/fnv.h"
 #include "src/snap/snapshot.h"
 
 namespace cki {
@@ -72,17 +72,16 @@ uint64_t WarmWorkload(ContainerEngine& e) {
 // Deterministic post-start probe used by the migration check: syscall
 // results + kernel counters, folded FNV-1a style. No clock reads.
 uint64_t WorkloadHash(ContainerEngine& e) {
-  uint64_t h = kFnvOffsetBasis;
-  auto mix = [&h](uint64_t v) { h = FnvMix64(h, v); };
-  mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kGetpid}).value));
-  mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kOpen, .arg0 = 1}).value));
-  mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kBrk, .arg0 = 0}).value));
+  Digest h;
+  h.Mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kGetpid}).value));
+  h.Mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kOpen, .arg0 = 1}).value));
+  h.Mix(static_cast<uint64_t>(e.UserSyscall(SyscallRequest{.no = Sys::kBrk, .arg0 = 0}).value));
   uint64_t extra = e.MmapAnon(4 * kPageSize, /*populate=*/true);
-  mix(extra);
-  mix(static_cast<uint64_t>(e.UserTouch(extra, /*write=*/true)));
-  mix(e.kernel().total_syscalls());
-  mix(e.kernel().total_page_faults());
-  return h;
+  h.Mix(extra);
+  h.Mix(static_cast<uint64_t>(e.UserTouch(extra, /*write=*/true)));
+  h.Mix(e.kernel().total_syscalls());
+  h.Mix(e.kernel().total_page_faults());
+  return h.value();
 }
 
 struct ScaleRow {

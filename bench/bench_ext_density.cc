@@ -82,7 +82,7 @@ void Run(const BenchIo& io) {
   ReportTable table("Container boot cost & density", "design",
                     {"containers", "boot us p50", "boot us p99", "host frames/container",
                      "boots/s (1 core)"});
-  uint64_t fleet_hash = kFnvOffsetBasis;
+  Digest fleet_hash;
 
   for (RuntimeKind kind : {RuntimeKind::kRunc, RuntimeKind::kHvm, RuntimeKind::kPvm,
                            RuntimeKind::kGvisor, RuntimeKind::kLibOs, RuntimeKind::kCki}) {
@@ -99,8 +99,7 @@ void Run(const BenchIo& io) {
                  {containers, p50_us, p99_us, containers > 0 ? frames / containers : 0,
                   mean_us > 0 ? 1e6 / mean_us : 0});
     // Fold per-design cluster hashes into one fleet digest, design order.
-    fleet_hash ^= result.trace_hash();
-    fleet_hash *= kFnvPrime;  // whole-word fold, not the byte-wise mixer
+    fleet_hash.Mix(result.trace_hash());
     for (const ShardResult& shard : result.shards()) {
       sink.AddConfig(std::string(RuntimeKindName(kind)) + "/shard-" +
                          std::to_string(shard.index),
@@ -111,7 +110,7 @@ void Run(const BenchIo& io) {
   std::cout << "cluster: " << cc.shards << " shards x " << kContainersPerShard
             << " containers, " << cluster.config().threads
             << " threads, root-seed=" << cc.root_seed << "\n";
-  std::cout << "determinism-hash: 0x" << std::hex << fleet_hash << std::dec << "\n";
+  std::cout << "determinism-hash: 0x" << std::hex << fleet_hash.value() << std::dec << "\n";
   std::cout << "Note: CKI's per-container footprint includes the delegated physical\n"
                "segment (sized here for density) plus KSM pages; PVM adds shadow\n"
                "tables; HVM adds EPT tables. Boot cost is dominated by how the\n"

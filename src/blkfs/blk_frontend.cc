@@ -54,7 +54,6 @@ std::vector<BlkReadOutcome> BlkFrontend::ReadBlocks(const uint64_t* blocks, size
     ctx_.Charge(engine_.KickCost(), PathEvent::kVirtioKick);
     ctx_.ChargeWork(ctx_.cost().blkfs_base_share_map * batch_grants);
     grants_ += batch_grants;
-    grant_kicks_++;
   }
   return out;
 }

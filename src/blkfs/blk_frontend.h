@@ -78,7 +78,6 @@ class BlkFrontend {
   const VirtioBlkStats& stats() const { return device_.stats(); }
   LayerStore& store() { return store_; }
   uint64_t grants() const { return grants_; }
-  uint64_t grant_kicks() const { return grant_kicks_; }
   uint64_t io_errors() const { return io_errors_; }
 
  private:
@@ -89,7 +88,6 @@ class BlkFrontend {
   VirtioBlkDevice device_;
   FaultInjector* injector_ = nullptr;
   uint64_t grants_ = 0;
-  uint64_t grant_kicks_ = 0;
   uint64_t io_errors_ = 0;
 };
 

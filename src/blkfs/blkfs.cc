@@ -226,7 +226,7 @@ int64_t Blkfs::Write(int ino, uint64_t offset, uint64_t bytes, bool direct) {
   if (direct) {
     for (uint64_t fb = first; fb <= last; ++fb) {
       uint64_t dev = DeviceBlockFor(node, fb, /*alloc=*/true);
-      uint64_t tag = FnvMix64(FnvMix64(kFnvOffsetBasis, Key(ino, fb)), ++write_seq_);
+      uint64_t tag = NextWriteTag(ino, fb);
       frontend_.WriteBlock(dev, tag);
       counters_.direct_writes++;
       Trace(BlkfsOp::kDirectWrite, static_cast<uint64_t>(ino), fb, tag);
@@ -449,7 +449,7 @@ void Blkfs::MarkDirty(BlkfsPage& page) {
     page.dirty = true;
     dirty_count_++;
   }
-  page.pending_tag = FnvMix64(FnvMix64(kFnvOffsetBasis, Key(page.ino, page.block)), ++write_seq_);
+  page.pending_tag = NextWriteTag(page.ino, page.block);
   if (dirty_count_ >= cfg_.writeback_epoch) {
     // Epoch writeback: batched and asynchronous — no barrier; only
     // fsync pays the flush.
@@ -562,7 +562,7 @@ void Blkfs::SnapCapture(SnapWriter& w) {
   w.PutU32(static_cast<uint32_t>(cfg_.queue_depth));
   w.PutU64(write_seq_);
   w.PutU64(next_device_block_);
-  w.PutU64(trace_hash_);
+  w.PutU64(trace_hash_.value());
   LayerStore& store = frontend_.store();
   const BlkImage& image = store.image(store.image_of(frontend_.view()));
   w.PutU32(static_cast<uint32_t>(image.block_tags.size()));
@@ -642,7 +642,7 @@ std::unique_ptr<Blkfs> Blkfs::Restore(ContainerEngine& engine, LayerStore& store
   }
   fs->write_seq_ = write_seq;
   fs->next_device_block_ = next_device_block;
-  fs->trace_hash_ = trace_hash;
+  fs->trace_hash_ = Digest::Resume(trace_hash);
   fs->RebuildCacheFromKernel();
   return fs;
 }

@@ -65,7 +65,7 @@ struct BlkfsImageSpec {
 
 // Content tag of base block `index` of a file seeded with `seed`.
 constexpr uint64_t BlkfsImageTag(uint64_t seed, uint64_t index) {
-  return FnvMix64(FnvMix64(kFnvOffsetBasis, seed), index);
+  return Digest().Mix({seed, index}).value();
 }
 
 // Registers the template image described by `spec` (files laid out
@@ -185,7 +185,7 @@ class Blkfs final : public BlkfsPort {
   void FlushAll();
 
   // --- introspection -------------------------------------------------------
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
   const BlkfsCounters& counters() const { return counters_; }
   const VirtioBlkStats& device_stats() const { return frontend_.stats(); }
   BlkFrontend& frontend() { return frontend_; }
@@ -227,6 +227,10 @@ class Blkfs final : public BlkfsPort {
   static uint64_t Key(int ino, uint64_t block) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(ino)) << 32) | (block & 0xffffffffull);
   }
+  // Content tag of the next write to (ino, block): unique per write stamp.
+  uint64_t NextWriteTag(int ino, uint64_t block) {
+    return Digest().Mix({Key(ino, block), ++write_seq_}).value();
+  }
 
   // Cache lookup + miss fill (with readahead) for one page. `fill` false
   // skips the device read (whole-block overwrite). On failure returns
@@ -246,8 +250,7 @@ class Blkfs final : public BlkfsPort {
   void EvictToCapacity(uint64_t keep_key);
   void Touch(BlkfsPage& page) { lru_.splice(lru_.end(), lru_, page.lru); }
   void Trace(BlkfsOp op, uint64_t ino, uint64_t block, uint64_t tag) {
-    uint64_t words[4] = {static_cast<uint64_t>(op), ino, block, tag};
-    trace_hash_ = FnvMixWords(trace_hash_, words, 4);
+    trace_hash_.Mix({static_cast<uint64_t>(op), ino, block, tag});
   }
   // Re-derives radix + LRU from the kernel's file_pages_ (restore/clone).
   void RebuildCacheFromKernel();
@@ -264,7 +267,7 @@ class Blkfs final : public BlkfsPort {
   std::list<uint64_t> lru_;  // cache keys, front = coldest
   uint64_t dirty_count_ = 0;
   uint64_t write_seq_ = 0;  // monotonic write stamp (feeds content tags)
-  uint64_t trace_hash_ = kFnvOffsetBasis;
+  Digest trace_hash_;
   BlkfsCounters counters_;
   int64_t last_error_ = 0;
 };

@@ -9,7 +9,7 @@
 namespace cki {
 
 int LayerStore::RegisterImage(std::vector<uint64_t> block_tags) {
-  uint64_t hash = FnvMixWords(kFnvOffsetBasis, block_tags.data(), block_tags.size());
+  uint64_t hash = Digest().Mix(block_tags).value();
   for (size_t i = 0; i < images_.size(); ++i) {
     if (images_[i].content_hash == hash && images_[i].block_tags == block_tags) {
       return static_cast<int>(i);

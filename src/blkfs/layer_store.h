@@ -87,8 +87,6 @@ class LayerStore {
   const std::map<uint64_t, uint64_t>& delta(int view_id) const;
   int image_of(int view_id) const;
   const BlkImage& image(int image_id) const { return images_[static_cast<size_t>(image_id)]; }
-  size_t image_count() const { return images_.size(); }
-  size_t view_count() const { return views_.size(); }
   // Host frames currently backing `image_id` (the dedup audit: this is
   // the whole machine's cost for the base layer, however many views).
   uint64_t materialized_frames(int image_id) const {

@@ -72,7 +72,6 @@ class CkiEngine : public ContainerEngine {
   // the current top-level PTP, so the same thread finds its per-vCPU area
   // at the same constant VA backed by different physical memory (Fig 8c).
   bool SelectVcpu(int vcpu);
-  int current_vcpu() const { return current_vcpu_; }
   int n_vcpus() const { return n_vcpus_; }
 
   // --- para-virtual interrupt state (Table 3: STI/CLI/POPF) -----------------

@@ -6,12 +6,9 @@
 #include <thread>
 #include <utility>
 
-#include "src/sim/fnv.h"
 #include "src/sim/seed_split.h"
 
 namespace cki {
-
-void ShardResult::HashMix(uint64_t v) { trace_hash_ = FnvMix64(trace_hash_, v); }
 
 size_t ClusterResult::failed_count() const {
   size_t n = 0;
@@ -54,14 +51,11 @@ MetricsRegistry ClusterResult::MergedMetrics() const {
 }
 
 uint64_t ClusterResult::trace_hash() const {
-  uint64_t hash = kFnvOffsetBasis;
+  Digest hash;
   for (const ShardResult& s : shards_) {
-    hash = FnvMix64(hash, s.index);
-    hash = FnvMix64(hash, s.ok ? 1 : 0);
-    hash = FnvMix64(hash, s.sim_ns);
-    hash = FnvMix64(hash, s.trace_hash());
+    hash.Mix({s.index, s.ok ? 1u : 0u, s.sim_ns, s.trace_hash()});
   }
-  return hash;
+  return hash.value();
 }
 
 SimCluster::SimCluster(const ClusterConfig& config) : config_(config) {

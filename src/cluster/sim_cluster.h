@@ -43,6 +43,7 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/observability.h"
 #include "src/sim/clock.h"
+#include "src/sim/fnv.h"
 
 namespace cki {
 
@@ -90,11 +91,11 @@ struct ShardResult {
   // Folds `v` into this shard's FNV-1a determinism digest. Mix every
   // result that must be reproduction-stable (per-op latencies, injector
   // and fault-bus hashes, packet hashes, ...), in a fixed order.
-  void HashMix(uint64_t v);
-  uint64_t trace_hash() const { return trace_hash_; }
+  void HashMix(uint64_t v) { trace_hash_.Mix(v); }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
 
  private:
-  uint64_t trace_hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  Digest trace_hash_;
 };
 
 // The merged outcome of one cluster run. Shards are ordered by index.

@@ -4,7 +4,6 @@
 
 #include "src/obs/metrics_registry.h"
 #include "src/sim/context.h"
-#include "src/sim/fnv.h"
 
 namespace cki {
 
@@ -38,9 +37,7 @@ bool FaultBus::alive(uint32_t owner) const {
 void FaultBus::Record(const FaultReport& report) {
   faults_reported_++;
   kind_counts_[static_cast<size_t>(report.kind)]++;
-  trace_hash_ = FnvMix64(trace_hash_, static_cast<uint64_t>(report.kind));
-  trace_hash_ = FnvMix64(trace_hash_, report.owner);
-  trace_hash_ = FnvMix64(trace_hash_, report.detail);
+  trace_hash_.Mix({static_cast<uint64_t>(report.kind), report.owner, report.detail});
   // Rolling per-container fault count for the SLO window (always-on
   // telemetry; no-op while observability is disabled).
   ctx_.obs().SloIncFault(report.owner, ctx_.clock().now());

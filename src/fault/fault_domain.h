@@ -38,6 +38,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/sim/fnv.h"
+
 namespace cki {
 
 class SimContext;
@@ -192,7 +194,7 @@ class FaultBus {
 
   // FNV-1a digest over (kind, owner, detail) of every recorded fault, in
   // order. Same fault sequence => identical hash (vswitch.h contract).
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
 
   // Emits fault/* counters (faults_reported, containers_killed,
   // frames_reclaimed, frames_leaked, kind/<name>).
@@ -224,7 +226,7 @@ class FaultBus {
   uint64_t frames_reclaimed_ = 0;
   uint64_t frames_leaked_ = 0;
   std::array<uint64_t, static_cast<size_t>(FaultKind::kCount)> kind_counts_{};
-  uint64_t trace_hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  Digest trace_hash_;
 };
 
 }  // namespace cki

@@ -80,7 +80,7 @@ class FaultInjector {
 
   // FNV-1a digest over (site, draw index) of every injected fault, in
   // order. Same seed + same query sequence => identical hash.
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
 
  private:
   bool Draw(double rate, uint8_t site) {
@@ -93,18 +93,15 @@ class FaultInjector {
       return false;
     }
     injected_++;
-    trace_hash_ = Mix(trace_hash_, site);
-    trace_hash_ = Mix(trace_hash_, draws_);
+    trace_hash_.Mix({site, draws_});
     return true;
   }
-
-  static uint64_t Mix(uint64_t hash, uint64_t value) { return FnvMix64(hash, value); }
 
   InjectorConfig config_;
   XorShift64Star rng_;  // the shared fold + step scheme (seed_split.h)
   uint64_t draws_ = 0;
   uint64_t injected_ = 0;
-  uint64_t trace_hash_ = kFnvOffsetBasis;
+  Digest trace_hash_;
 };
 
 }  // namespace cki

@@ -1,7 +1,5 @@
 #include "src/fault/gray_fault.h"
 
-#include "src/sim/fnv.h"
-
 #include "src/fault/fault_injector.h"
 
 namespace cki {
@@ -26,16 +24,11 @@ void GrayFault::Advance(SimNanos now, FaultInjector& injector, FaultBus* bus) {
 void GrayFault::Open(SimNanos now, SimNanos* until, FaultKind kind, FaultBus* bus) {
   *until = now + config_.episode_ns;
   episodes_++;
-  Mix(static_cast<uint64_t>(kind), static_cast<uint64_t>(now));
+  trace_hash_.Mix({static_cast<uint64_t>(kind), now});
   if (bus != nullptr) {
     // Advisory only: the machine is degraded, not dead — nothing to kill.
     bus->Note({kind, /*owner=*/0, /*detail=*/static_cast<uint64_t>(now)});
   }
-}
-
-void GrayFault::Mix(uint64_t salt, uint64_t value) {
-  const uint64_t words[] = {salt, value};
-  trace_hash_ = FnvMixWords(trace_hash_, words, 2);
 }
 
 }  // namespace cki

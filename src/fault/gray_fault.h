@@ -89,7 +89,7 @@ class GrayFault {
     bool dropped = rng_.Next() % 1000 < config_.blackhole_permille;
     if (dropped) {
       swallowed_++;
-      Mix(0xB1AC, swallowed_);
+      trace_hash_.Mix({0xB1AC, swallowed_});
     }
     return dropped;
   }
@@ -100,7 +100,7 @@ class GrayFault {
       return 0;
     }
     SimNanos j = static_cast<SimNanos>(rng_.Next() % static_cast<uint64_t>(config_.jitter_max_ns));
-    Mix(0x717E, static_cast<uint64_t>(j));
+    trace_hash_.Mix({0x717E, j});
     return j;
   }
 
@@ -115,11 +115,10 @@ class GrayFault {
   uint64_t swallowed() const { return swallowed_; }
   // FNV-1a digest over every episode start and in-episode draw, in order.
   // Same seeds + same query sequence => identical hash.
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
 
  private:
   void Open(SimNanos now, SimNanos* until, FaultKind kind, FaultBus* bus);
-  void Mix(uint64_t salt, uint64_t value);
 
   GrayConfig config_;
   XorShift64Star rng_;
@@ -129,7 +128,7 @@ class GrayFault {
   SimNanos jitter_until_ = 0;
   uint64_t episodes_ = 0;
   uint64_t swallowed_ = 0;
-  uint64_t trace_hash_ = kFnvOffsetBasis;
+  Digest trace_hash_;
 };
 
 }  // namespace cki

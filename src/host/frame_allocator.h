@@ -109,7 +109,6 @@ class FrameAllocator {
   uint64_t SharedFrames(OwnerId holder) const;
 
   uint64_t allocated_frames() const { return allocated_; }
-  uint64_t total_frames() const { return total_pages_; }
   uint64_t double_frees() const { return double_frees_; }
 
  private:

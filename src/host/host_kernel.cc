@@ -28,7 +28,7 @@ uint64_t HostKernel::Dispatch(HypercallOp op, uint64_t a0, uint64_t a1, int vcpu
       return ~0ull;
     }
     case HypercallOp::kVirtioKick:
-      // Device queues are modeled by the virtio adapters; account only.
+      // Device queues are modeled by VirtNic and VirtioBlkDevice; account only.
       return 0;
     case HypercallOp::kYield:
       return 0;

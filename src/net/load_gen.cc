@@ -124,26 +124,6 @@ int64_t LoadGenerator::Connect(int dst_port, uint16_t service) {
   return flow;
 }
 
-int64_t LoadGenerator::ConnectResil(int dst_port, uint16_t service, const ResilConfig& cfg,
-                                    RetryBudget& budget) {
-  int64_t r = Connect(dst_port, service);
-  for (uint32_t attempt = 1; r < 0 && IsRetryableErrno(r) && attempt < cfg.max_attempts;
-       ++attempt) {
-    if (!budget.TryAcquire()) {
-      break;  // bucket dry: no storm, surface the transient errno
-    }
-    // Backoff is simulated time, not wall time: the wait is charged to the
-    // shared clock so the retry schedule replays bit-identically.
-    ctx_.ChargeWork(BackoffNs(cfg, attempt));
-    connect_retries_++;
-    r = Connect(dst_port, service);
-  }
-  if (r >= 0) {
-    budget.OnSuccess();
-  }
-  return r;
-}
-
 void LoadGenerator::SendRequests(int flow, int count, uint64_t bytes) {
   auto it = flows_.find(flow);
   if (it == flows_.end() || count <= 0) {
@@ -161,34 +141,7 @@ void LoadGenerator::SendRequests(int flow, int count, uint64_t bytes) {
                     .kind = PacketKind::kData, .bytes = bytes,
                     .deadline_ns = DeadlineFor(ctx_.clock().now()), .trace_id = tc.trace_id,
                     .span_id = tc.span_id});
-    requests_sent_++;
   }
-}
-
-uint64_t LoadGenerator::PumpOpenLoop(int flow, ArrivalProcess& arrivals, SimNanos until,
-                                     uint64_t bytes) {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) {
-    return 0;
-  }
-  TraceScope obs_scope(ctx_, "loadgen/openloop");
-  uint64_t sent = 0;
-  std::vector<SimNanos> times;
-  arrivals.DrainUntil(until, &times);
-  for (SimNanos t : times) {
-    (void)t;  // open loop: the schedule, not the response stream, paces us
-    TraceContext tc = MakeTraceContext(trace_seed_, ++trace_sequence_);
-    outstanding_traces_.insert(tc.trace_id);
-    last_request_trace_ = tc.trace_id;
-    ctx_.obs().RecordFlowPoint(ctx_.clock().now(), TraceRecordKind::kFlowStart, tc.trace_id);
-    sw_.Send(Packet{.src = port_, .dst = it->second.peer, .flow = flow,
-                    .kind = PacketKind::kData, .bytes = bytes,
-                    .deadline_ns = DeadlineFor(ctx_.clock().now()), .trace_id = tc.trace_id,
-                    .span_id = tc.span_id});
-    requests_sent_++;
-    sent++;
-  }
-  return sent;
 }
 
 uint64_t LoadGenerator::TakeResponses(int flow) {
@@ -229,7 +182,6 @@ bool LoadGenerator::DeliverFrame(const Packet& p) {
       }
       it->second.responses++;
       it->second.response_bytes += p.bytes;
-      total_responses_++;
       // The response closes the request's causal chain iff it still
       // carries the identity this generator minted.
       if (p.trace_id != 0) {

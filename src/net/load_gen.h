@@ -19,7 +19,6 @@
 
 #include "src/net/vswitch.h"
 #include "src/obs/trace_context.h"
-#include "src/resil/resilience.h"
 #include "src/sim/seed_split.h"
 
 namespace cki {
@@ -61,7 +60,6 @@ class ArrivalProcess {
   // functions of the config and `now` (table lookups, no RNG draws).
   double MultiplierAt(SimNanos now) const;
   double RateAt(SimNanos now) const { return config_.base_rate_per_sec * MultiplierAt(now); }
-  double peak_rate_per_sec() const { return peak_rate_per_sec_; }
 
   // Time of the next arrival strictly after the previous one. Arrivals
   // are minted in nondecreasing time order, forever.
@@ -95,13 +93,6 @@ class LoadGenerator : public NetDevice {
   // (transient — the retry layer may try again).
   int64_t Connect(int dst_port, uint16_t service);
 
-  // Connect with the resilience layer armed: transient refusals
-  // (IsRetryableErrno) are retried up to cfg.max_attempts with exponential
-  // backoff charged to the simulated clock, each retry paid from `budget`.
-  // Fatal refusals and an exhausted budget return the last errno.
-  int64_t ConnectResil(int dst_port, uint16_t service, const ResilConfig& cfg,
-                       RetryBudget& budget);
-
   // Deadline budget granted to every minted request frame: frames carry
   // deadline_ns = now + budget so downstream admission control (VirtNic)
   // can shed infeasible work. 0 (default) stamps no deadline.
@@ -112,21 +103,11 @@ class LoadGenerator : public NetDevice {
   // freshly minted TraceContext.
   void SendRequests(int flow, int count, uint64_t bytes);
 
-  // Open-loop injection: mints and sends one request frame per arrival of
-  // `arrivals` strictly before `until` (simulated ns). Unlike
-  // SendRequests, the submission schedule comes from the arrival process
-  // — not from responses — so traffic keeps coming whether or not the
-  // service keeps up. Returns the number of requests injected.
-  uint64_t PumpOpenLoop(int flow, ArrivalProcess& arrivals, SimNanos until, uint64_t bytes);
-
   // Returns and resets the number of responses received on `flow` since the
   // last call.
   uint64_t TakeResponses(int flow);
 
-  uint64_t total_responses() const { return total_responses_; }
   uint64_t response_bytes(int flow) const;
-  uint64_t requests_sent() const { return requests_sent_; }
-  uint64_t connect_retries() const { return connect_retries_; }
 
   // --- causal-trace accounting ---------------------------------------------
   // Responses whose trace id matched an outstanding request of this
@@ -156,13 +137,10 @@ class LoadGenerator : public NetDevice {
   int port_;
   uint64_t trace_seed_;
   SimNanos deadline_budget_ns_ = 0;
-  uint64_t connect_retries_ = 0;
 
   std::unordered_map<int, FlowState> flows_;
   std::unordered_map<int, int64_t> connect_results_;
   std::unordered_set<uint64_t> outstanding_traces_;  // bounded by in-flight
-  uint64_t total_responses_ = 0;
-  uint64_t requests_sent_ = 0;
   uint64_t trace_sequence_ = 0;
   uint64_t matched_responses_ = 0;
   uint64_t last_request_trace_ = 0;

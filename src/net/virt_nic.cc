@@ -153,7 +153,7 @@ void VirtNic::RaiseIrq() {
 }
 
 void VirtNic::AckIrqIfDrained() {
-  if (config_.irq_per_batch || !irq_pending_ || rx_buffered_ > 0) {
+  if (!irq_pending_ || rx_buffered_ > 0) {
     return;
   }
   for (const auto& [service, listener] : listeners_) {
@@ -166,12 +166,6 @@ void VirtNic::AckIrqIfDrained() {
   stats_.irq_acks++;
   // EOI / queue-unmask write re-arming the device.
   ctx_.ChargeWork(engine_.InterruptAckCost());
-}
-
-void VirtNic::CompleteBatch() {
-  stats_.interrupts++;
-  TraceScope obs_scope(ctx_, "nic/irq");
-  ctx_.Charge(engine_.DeviceInterruptCost(), PathEvent::kVirqInject);
 }
 
 // --- connection layer ------------------------------------------------------
@@ -260,9 +254,7 @@ bool VirtNic::DeliverFrame(const Packet& p) {
       flows_[p.flow] = FlowState{.peer = p.src};
       it->second.pending.push_back(p.flow);
       sw_.Send(Packet{.src = port_, .dst = p.src, .flow = p.flow, .kind = PacketKind::kSynAck});
-      if (!config_.irq_per_batch) {
-        RaiseIrq();  // accept readiness
-      }
+      RaiseIrq();  // accept readiness
       return true;
     }
     case PacketKind::kSynAck: {
@@ -323,9 +315,7 @@ bool VirtNic::DeliverFrame(const Packet& p) {
       rx_buffered_++;
       stats_.rx_packets++;
       stats_.rx_bytes += p.bytes;
-      if (!config_.irq_per_batch) {
-        RaiseIrq();
-      }
+      RaiseIrq();
       return true;
     }
     case PacketKind::kFin: {
@@ -362,7 +352,6 @@ void VirtNic::ExportMetrics(MetricsRegistry& metrics) const {
 void VirtNic::SnapCapture(SnapWriter& w) const {
   w.PutI64(config_.tx_batch);
   w.PutU64(config_.rx_ring);
-  w.PutBool(config_.irq_per_batch);
   w.PutU64(stats_.kicks);
   w.PutU64(stats_.interrupts);
   w.PutU64(stats_.coalesced_frames);
@@ -381,7 +370,6 @@ void VirtNic::SnapCapture(SnapWriter& w) const {
 void VirtNic::SnapApply(SnapReader& r) {
   config_.tx_batch = static_cast<int>(r.GetI64());
   config_.rx_ring = static_cast<size_t>(r.GetU64());
-  config_.irq_per_batch = r.GetBool();
   if (config_.tx_batch < 1) {
     config_.tx_batch = 1;
   }

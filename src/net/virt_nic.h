@@ -32,10 +32,6 @@ namespace cki {
 struct NicConfig {
   int tx_batch = 1;      // frames buffered per doorbell kick
   size_t rx_ring = 256;  // RX descriptors; full ring pushes back on the switch
-  // Legacy virtio-adapter mode: every delivered batch raises its own
-  // interrupt (CompleteBatch) instead of NAPI coalescing, and no
-  // interrupt-acknowledge cost is charged.
-  bool irq_per_batch = false;
   // Admission control (src/resil, DESIGN.md §13): estimated per-frame
   // guest service time used for the deadline-feasibility bound at RX. A
   // deadline-stamped data frame is shed (consumed and dropped, counted in
@@ -94,14 +90,9 @@ class VirtNic : public NetPort, public NetDevice {
   // Re-evaluates buffered frames against the new threshold immediately, so
   // lowering the batch size cannot strand them.
   void set_tx_batch(int tx_batch);
-  int tx_pending() const { return static_cast<int>(tx_ring_.size()); }
 
-  // Opens an established flow without a handshake (legacy virtio-adapter
-  // connections are implicit).
+  // Opens an established flow to `peer_port` without a handshake.
   void OpenRawFlow(int flow, int peer_port);
-
-  // Legacy mode: raises one interrupt for a just-delivered batch.
-  void CompleteBatch();
 
   // --- switch side (NetDevice) ---------------------------------------------
   bool DeliverFrame(const Packet& p) override;

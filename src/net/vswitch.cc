@@ -1,11 +1,8 @@
 #include "src/net/vswitch.h"
 
-#include <iterator>
-
 #include "src/fault/fault_injector.h"
 #include "src/fault/gray_fault.h"
 #include "src/obs/trace_scope.h"
-#include "src/sim/fnv.h"
 
 namespace cki {
 
@@ -17,16 +14,11 @@ namespace {
 // determinism invariant of DESIGN.md §11 depends on this). deadline_ns is
 // included — deadlines drive RX admission decisions, so they are behavior,
 // not annotation.
-uint64_t HashFrame(uint64_t h, const Packet& p) {
-  const uint64_t words[] = {
-      static_cast<uint64_t>(p.src),
-      static_cast<uint64_t>(p.dst),
-      static_cast<uint64_t>(p.flow),
-      (static_cast<uint64_t>(p.service) << 8) | static_cast<uint64_t>(p.kind),
-      p.bytes,
-      p.deadline_ns,
-  };
-  return FnvMixWords(h, words, std::size(words));
+void HashFrame(Digest& h, const Packet& p) {
+  h.Mix({static_cast<uint64_t>(p.src), static_cast<uint64_t>(p.dst),
+         static_cast<uint64_t>(p.flow),
+         (static_cast<uint64_t>(p.service) << 8) | static_cast<uint64_t>(p.kind), p.bytes,
+         p.deadline_ns});
 }
 
 }  // namespace
@@ -41,7 +33,7 @@ int VSwitch::AttachPort(NetDevice& dev, std::string name) {
 
 void VSwitch::Absorb(const Packet& p) {
   forwarded_++;
-  trace_hash_ = HashFrame(trace_hash_, p);
+  HashFrame(trace_hash_, p);
 }
 
 void VSwitch::DetachPort(int port) {

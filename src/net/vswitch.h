@@ -23,6 +23,7 @@
 #include "src/net/packet.h"
 #include "src/obs/metrics_registry.h"
 #include "src/sim/context.h"
+#include "src/sim/fnv.h"
 
 namespace cki {
 
@@ -88,7 +89,6 @@ class VSwitch {
   int AllocFlow() { return next_flow_++; }
 
   size_t ports() const { return ports_.size(); }
-  const std::string& port_name(int port) const { return ports_.at(static_cast<size_t>(port)).name; }
   const SwitchPortStats& port_stats(int port) const {
     return ports_.at(static_cast<size_t>(port)).stats;
   }
@@ -102,7 +102,7 @@ class VSwitch {
   uint64_t injected_dups() const { return injected_dups_; }
   uint64_t gray_drops() const { return gray_drops_; }
   // Order-sensitive FNV-1a digest over every forwarded frame.
-  uint64_t trace_hash() const { return trace_hash_; }
+  uint64_t trace_hash() const { return trace_hash_.value(); }
 
   // Dumps per-port counters as `net/<port-name>/<counter>` plus
   // `net/switch/packets` (what --json-out benchmark runs export).
@@ -130,7 +130,7 @@ class VSwitch {
   uint64_t injected_drops_ = 0;
   uint64_t injected_dups_ = 0;
   uint64_t gray_drops_ = 0;
-  uint64_t trace_hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  Digest trace_hash_;
 };
 
 }  // namespace cki

@@ -12,13 +12,7 @@ void Observability::Enable(size_t ring_capacity) {
   enabled_ = true;
 }
 
-SloWindow& Observability::Slo(uint32_t owner) {
-  auto it = slos_->find(owner);
-  if (it == slos_->end()) {
-    it = slos_->emplace(owner, SloWindow(slo_config_)).first;
-  }
-  return it->second;
-}
+SloWindow& Observability::Slo(uint32_t owner) { return slos_->try_emplace(owner).first->second; }
 
 const SloWindow* Observability::FindSlo(uint32_t owner) const {
   if (slos_ == nullptr) {
@@ -62,7 +56,6 @@ Observability Observability::Detach() {
   out.owner_ = owner_;
   out.sample_every_ = sample_every_;
   out.self_ = self_;
-  out.slo_config_ = slo_config_;
   out.recorder_ = std::move(recorder_);
   out.profiler_ = std::move(profiler_);
   out.metrics_ = std::move(metrics_);

@@ -160,9 +160,6 @@ class Observability {
 
   // --- per-container SLO windows (always on while enabled) -----------------
 
-  // Window geometry for SLO windows created after this call.
-  void set_slo_config(SloWindow::Config config) { slo_config_ = config; }
-
   void SloObserveSyscall(uint32_t owner, SimNanos now, SimNanos latency_ns) {
     if (!enabled_) {
       return;
@@ -193,8 +190,6 @@ class Observability {
   // The window for `owner`, created on first use. Valid only when
   // has_data().
   SloWindow& Slo(uint32_t owner);
-  // All windows (nullptr before Enable); keyed by container id.
-  const std::map<uint32_t, SloWindow>* slos() const { return slos_.get(); }
   const SloWindow* FindSlo(uint32_t owner) const;
 
   const ObsSelfStats& self_stats() const { return self_; }
@@ -227,7 +222,6 @@ class Observability {
   uint32_t scope_depth_ = 0;
   bool current_sampled_ = true;
   ObsSelfStats self_;
-  SloWindow::Config slo_config_;
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<SpanProfiler> profiler_;
   std::unique_ptr<MetricsRegistry> metrics_;

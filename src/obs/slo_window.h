@@ -56,7 +56,6 @@ class SloWindow {
   // dashboards see *current* backpressure, not lifetime totals.
   void IncOverloads(SimNanos now, uint64_t n = 1) {
     Touch(now).overloads += n;
-    total_overloads_ += n;
   }
 
   // Latest point-in-time gauge (resident frames); last write wins.
@@ -68,7 +67,6 @@ class SloWindow {
   uint64_t gauge() const { return gauge_; }
   uint64_t total_ops() const { return total_ops_; }
   uint64_t total_faults() const { return total_faults_; }
-  uint64_t total_overloads() const { return total_overloads_; }
   // Simulated time of the most recent write (queries anchor here).
   SimNanos last_ns() const { return last_ns_; }
 
@@ -172,7 +170,6 @@ class SloWindow {
   uint64_t gauge_ = 0;
   uint64_t total_ops_ = 0;
   uint64_t total_faults_ = 0;
-  uint64_t total_overloads_ = 0;
 };
 
 }  // namespace cki

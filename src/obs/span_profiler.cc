@@ -100,24 +100,6 @@ void SpanProfiler::WriteJson(std::ostream& os) const {
   os << "]";
 }
 
-void SpanProfiler::PrintNode(std::ostream& os, int index, int depth) const {
-  const Node& node = nodes_[static_cast<size_t>(index)];
-  for (int i = 0; i < depth; ++i) {
-    os << "  ";
-  }
-  os << node.name << "  total=" << node.total << "ns self=" << node.self
-     << "ns count=" << node.count << "\n";
-  for (int child : node.children) {
-    PrintNode(os, child, depth + 1);
-  }
-}
-
-void SpanProfiler::PrintTree(std::ostream& os) const {
-  for (int root : roots_) {
-    PrintNode(os, root, 0);
-  }
-}
-
 void SpanProfiler::Clear() {
   nodes_.clear();
   roots_.clear();

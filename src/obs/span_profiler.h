@@ -44,7 +44,6 @@ class SpanProfiler {
   // Maps a phase name to a stable small id (interned on first use).
   int InternPhase(std::string_view name);
   std::string_view PhaseName(int phase_id) const;
-  size_t phase_count() const { return phase_names_.size(); }
 
   // Opens/closes a span; driven by TraceScope. Returns the node index.
   int BeginSpan(int phase_id, SimNanos now);
@@ -62,8 +61,6 @@ class SpanProfiler {
   // Nested JSON array of root nodes:
   //   [{"name":..,"count":..,"total_ns":..,"self_ns":..,"children":[..]}]
   void WriteJson(std::ostream& os) const;
-  // Indented human-readable tree (debugging, bench stdout).
-  void PrintTree(std::ostream& os) const;
 
   void Clear();
 
@@ -75,7 +72,6 @@ class SpanProfiler {
   };
 
   void WriteNodeJson(std::ostream& os, int node) const;
-  void PrintNode(std::ostream& os, int node, int depth) const;
 
   std::vector<Node> nodes_;
   std::vector<int> roots_;

@@ -38,17 +38,12 @@ struct TraceContext {
   bool active() const { return trace_id != 0; }
 };
 
-// FNV-1a over the 8 bytes of `v`, chained from `h` (the canonical mixer).
-inline uint64_t TraceMix(uint64_t h, uint64_t v) { return FnvMix64(h, v); }
-
-inline constexpr uint64_t kTraceFnvBasis = kFnvOffsetBasis;
-
 // Mints the context for request `sequence` of the generator seeded with
 // `seed`. Pure function of its arguments; never returns trace_id 0.
 inline TraceContext MakeTraceContext(uint64_t seed, uint64_t sequence) {
-  uint64_t id = TraceMix(TraceMix(kTraceFnvBasis, seed), sequence);
+  uint64_t id = Digest().Mix({seed, sequence}).value();
   if (id == 0) {
-    id = kTraceFnvBasis;  // vanishing FNV output; keep "no trace" reserved
+    id = kFnvOffsetBasis;  // vanishing FNV output; keep "no trace" reserved
   }
   return TraceContext{.trace_id = id, .span_id = id};
 }
@@ -59,8 +54,8 @@ inline uint64_t DeriveSpanId(const TraceContext& tc, uint64_t salt) {
   if (!tc.active()) {
     return 0;
   }
-  uint64_t s = TraceMix(TraceMix(kTraceFnvBasis, tc.span_id), salt);
-  return s == 0 ? kTraceFnvBasis : s;
+  uint64_t s = Digest().Mix({tc.span_id, salt}).value();
+  return s == 0 ? kFnvOffsetBasis : s;
 }
 
 }  // namespace cki

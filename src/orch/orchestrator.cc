@@ -6,7 +6,6 @@
 #include "src/cki/cki_engine.h"
 #include "src/obs/histogram.h"
 #include "src/obs/slo_window.h"
-#include "src/obs/trace_context.h"
 #include "src/resil/health.h"
 #include "src/snap/snapshot.h"
 
@@ -79,7 +78,7 @@ struct Orchestrator::ShardState {
   uint64_t epoch_requests = 0;
   uint64_t epoch_lost = 0;
   SimNanos backlog_ns = 0;
-  uint64_t serve_hash = kTraceFnvBasis;  // cumulative per-shard serve digest
+  Digest serve_hash;  // cumulative per-shard serve digest
   MetricsRegistry metrics;
   std::vector<SimNanos> arrival_buf;
 
@@ -139,9 +138,7 @@ Orchestrator::Orchestrator(const OrchConfig& config, const OrchPolicy& policy)
       policy_(policy),
       cluster_(ClusterConfig{.shards = config.shards,
                              .threads = config.threads,
-                             .root_seed = config.root_seed}),
-      control_hash_(kTraceFnvBasis),
-      cluster_hash_(kTraceFnvBasis) {
+                             .root_seed = config.root_seed}) {
   if (config_.shards == 0) {
     config_.shards = 1;
   }
@@ -159,7 +156,7 @@ Orchestrator::Orchestrator(const OrchConfig& config, const OrchPolicy& policy)
 Orchestrator::~Orchestrator() = default;
 
 uint64_t Orchestrator::CombinedHash() const {
-  return TraceMix(TraceMix(kTraceFnvBasis, control_hash_), cluster_hash_);
+  return Digest().Mix({control_hash_.value(), cluster_hash_.value()}).value();
 }
 
 namespace {
@@ -228,16 +225,12 @@ OrchStats Orchestrator::Run() {
     }
     ServeEpoch(epoch);
     ClusterSnapshot snap = Collect(epoch);
-    cluster_hash_ = TraceMix(cluster_hash_, snap.Hash());
+    cluster_hash_.Mix(snap.Hash());
     std::vector<OrchAction> actions = policy_.Decide(snap);
-    control_hash_ = TraceMix(control_hash_, kHashEpochMark);
-    control_hash_ = TraceMix(control_hash_, epoch);
+    control_hash_.Mix({kHashEpochMark, epoch});
     for (const OrchAction& a : actions) {
-      control_hash_ = TraceMix(control_hash_, kHashAction);
-      control_hash_ = TraceMix(control_hash_, static_cast<uint64_t>(a.kind));
-      control_hash_ = TraceMix(control_hash_, a.shard);
-      control_hash_ = TraceMix(control_hash_, a.container);
-      control_hash_ = TraceMix(control_hash_, a.dst_shard);
+      control_hash_.Mix(
+          {kHashAction, static_cast<uint64_t>(a.kind), a.shard, a.container, a.dst_shard});
     }
     Chaos(epoch);
     Apply(epoch, actions);
@@ -305,7 +298,7 @@ void Orchestrator::ServeEpoch(uint64_t epoch) {
 
     if (!s.up) {
       s.epoch_lost += s.arrival_buf.size();
-      s.serve_hash = TraceMix(s.serve_hash, s.epoch_lost);
+      s.serve_hash.Mix(s.epoch_lost);
       return ShardResult{};
     }
 
@@ -350,10 +343,10 @@ void Orchestrator::ServeEpoch(uint64_t epoch) {
         const SimNanos probe = s.gray.DegradeServiceNs(ctx.clock().now() - t0, end);
         s.health.Observe(probe);
         s.probes++;
-        s.serve_hash = TraceMix(s.serve_hash, probe);
+        s.serve_hash.Mix(probe);
       }
     }
-    s.serve_hash = TraceMix(s.serve_hash, s.gray.trace_hash());
+    s.serve_hash.Mix(s.gray.trace_hash());
     return ShardResult{};
   });
 }
@@ -528,10 +521,7 @@ void Orchestrator::ServeArrival(ShardState& s, SimNanos arrival, SimNanos jitter
     s.epoch_lat.Add(latency);
     s.metrics.Hist("orch/request_latency_ns").Add(latency);
     s.metrics.Inc("orch/requests_served");
-    s.serve_hash = TraceMix(s.serve_hash, arrival);
-    s.serve_hash = TraceMix(s.serve_hash, chosen->id);
-    s.serve_hash = TraceMix(s.serve_hash, latency);
-    s.serve_hash = TraceMix(s.serve_hash, attempt);
+    s.serve_hash.Mix({arrival, chosen->id, latency, attempt});
     return;
   }
 }
@@ -581,8 +571,7 @@ void Orchestrator::Chaos(uint64_t epoch) {
     }
     if (s.injector.InjectMachineKill()) {
       stats_.machine_kills++;
-      control_hash_ = TraceMix(control_hash_, kHashMachineKill);
-      control_hash_ = TraceMix(control_hash_, s.index);
+      control_hash_.Mix({kHashMachineKill, s.index});
       for (Managed& c : s.containers) {
         KillAndAudit(s, c);
       }
@@ -606,9 +595,7 @@ void Orchestrator::Chaos(uint64_t epoch) {
       }
       if (s.injector.InjectContainerKill()) {
         stats_.container_kills++;
-        control_hash_ = TraceMix(control_hash_, kHashContainerKill);
-        control_hash_ = TraceMix(control_hash_, s.index);
-        control_hash_ = TraceMix(control_hash_, c.id);
+        control_hash_.Mix({kHashContainerKill, s.index, c.id});
         KillAndAudit(s, c);
       }
     }
@@ -732,7 +719,7 @@ void Orchestrator::FinishEpoch(uint64_t epoch) {
     merged.Merge(sp->epoch_lat);
     requests += sp->epoch_requests;
     lost += sp->epoch_lost;
-    cluster_hash_ = TraceMix(cluster_hash_, sp->serve_hash);
+    cluster_hash_.Mix(sp->serve_hash.value());
   }
   const uint64_t p99 = merged.count() > 0 ? merged.Percentile(99) : 0;
   stats_.epochs++;

@@ -43,6 +43,7 @@
 #include "src/orch/policy.h"
 #include "src/resil/resilience.h"
 #include "src/runtime/runtime.h"
+#include "src/sim/fnv.h"
 
 namespace cki {
 
@@ -155,10 +156,10 @@ class Orchestrator {
 
   // FNV-1a digest of every policy decision and chaos strike, in
   // (epoch, shard index, container id) order.
-  uint64_t control_hash() const { return control_hash_; }
+  uint64_t control_hash() const { return control_hash_.value(); }
   // FNV-1a digest of every epoch's ClusterSnapshot plus each shard's
   // serve-phase event stream, folded in shard-index order.
-  uint64_t cluster_hash() const { return cluster_hash_; }
+  uint64_t cluster_hash() const { return cluster_hash_.value(); }
   // The two digests combined — the one number benches compare across
   // thread counts.
   uint64_t CombinedHash() const;
@@ -202,8 +203,8 @@ class Orchestrator {
   OrchStats stats_;
   MetricsRegistry metrics_;
   ClusterSnapshot last_snapshot_;
-  uint64_t control_hash_;
-  uint64_t cluster_hash_;
+  Digest control_hash_;
+  Digest cluster_hash_;
   bool ran_ = false;
 };
 

@@ -2,35 +2,22 @@
 
 #include <algorithm>
 
-#include "src/obs/trace_context.h"
+#include "src/sim/fnv.h"
 
 namespace cki {
 
 uint64_t ClusterSnapshot::Hash() const {
-  uint64_t h = kTraceFnvBasis;
-  h = TraceMix(h, epoch);
-  h = TraceMix(h, epoch_ns);
-  h = TraceMix(h, slo_p99_ns);
+  Digest h;
+  h.Mix({epoch, epoch_ns, slo_p99_ns});
   for (const ShardSignal& s : shards) {
-    h = TraceMix(h, s.index);
-    h = TraceMix(h, s.up ? 1 : 0);
-    h = TraceMix(h, s.has_template ? 1 : 0);
-    h = TraceMix(h, s.backlog_ns);
-    h = TraceMix(h, s.epoch_requests);
-    h = TraceMix(h, s.epoch_lost);
-    h = TraceMix(h, s.epoch_p99_ns);
-    h = TraceMix(h, s.health_x1000);
+    h.Mix({s.index, s.up ? 1u : 0u, s.has_template ? 1u : 0u, s.backlog_ns, s.epoch_requests,
+           s.epoch_lost, s.epoch_p99_ns, s.health_x1000});
     for (const ContainerSignal& c : s.containers) {
-      h = TraceMix(h, c.id);
-      h = TraceMix(h, c.alive ? 1 : 0);
-      h = TraceMix(h, c.p99_ns);
-      h = TraceMix(h, c.window_ops);
-      h = TraceMix(h, c.resident_frames);
-      h = TraceMix(h, c.faults);
-      h = TraceMix(h, c.idle_epochs);
+      h.Mix({c.id, c.alive ? 1u : 0u, c.p99_ns, c.window_ops, c.resident_frames, c.faults,
+             c.idle_epochs});
     }
   }
-  return h;
+  return h.value();
 }
 
 namespace {

@@ -52,6 +52,9 @@ SyscallResult ContainerEngine::UserSyscall(const SyscallRequest& req) {
   if (killed_) {
     return SyscallResult{kEKILLED};
   }
+  if (kernel_->current_pid() < 0) {
+    return SyscallResult{kESRCH};  // the last process exited: nobody to run
+  }
   try {
     return DoUserSyscall(req);
   } catch (const ContainerKilled& killed) {
@@ -78,6 +81,9 @@ SyscallResult ContainerEngine::DoUserSyscall(const SyscallRequest& req) {
 TouchResult ContainerEngine::UserTouchSlow(uint64_t va, bool write) {
   if (killed_) {
     return TouchResult::kKilled;
+  }
+  if (kernel_->current_pid() < 0) {
+    return TouchResult::kSegv;  // no process, so no address space to touch
   }
   try {
     if (injector_ != nullptr && injector_->InjectPksViolation()) {

@@ -81,7 +81,8 @@ class ContainerEngine : public EnginePort {
 
   // --- user-visible operations (what workloads drive) -----------------------
   // A syscall from the current container process, through the design's full
-  // entry/exit path. Returns kEKILLED once the container is dead.
+  // entry/exit path. Returns kEKILLED once the container is dead, and
+  // kESRCH when it has no current process (its last process exited).
   SyscallResult UserSyscall(const SyscallRequest& req);
 
   // A user-mode memory access, through the MMU. Every design runs the same

@@ -19,7 +19,6 @@ class SimContext {
   SimClock& clock() { return clock_; }
   const SimClock& clock() const { return clock_; }
   const CostModel& cost() const { return cost_; }
-  CostModel& mutable_cost() { return cost_; }
   TraceLog& trace() { return trace_; }
   const TraceLog& trace() const { return trace_; }
   Observability& obs() { return obs_; }

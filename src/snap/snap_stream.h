@@ -1,7 +1,7 @@
 // Byte-stream primitives of the container snapshot format (DESIGN.md §10).
 //
-// SnapWriter serializes little-endian scalars and raw byte runs while
-// folding every byte into a running FNV-1a digest — the same hash family
+// SnapWriter serializes little-endian scalars and raw byte runs; its
+// Hash() is the FNV-1a Digest over every byte written — the same mixer
 // as the vswitch/fault trace hashes, so "bit-identical stream" and
 // "equal content hash" are one property. SnapReader is the strict
 // inverse: every read is bounds-checked, and any overrun or bad magic
@@ -25,13 +25,6 @@
 
 namespace cki {
 
-inline constexpr uint64_t kSnapFnvBasis = kFnvOffsetBasis;
-
-// FNV-1a over a byte range, continuing from `hash`.
-inline uint64_t SnapHashBytes(uint64_t hash, const uint8_t* data, size_t n) {
-  return FnvMixBytes(hash, data, n);
-}
-
 class SnapWriter {
  public:
   void PutU8(uint8_t v) { bytes_.push_back(v); }
@@ -50,7 +43,7 @@ class SnapWriter {
   }
 
   // FNV-1a over everything written so far.
-  uint64_t Hash() const { return SnapHashBytes(kSnapFnvBasis, bytes_.data(), bytes_.size()); }
+  uint64_t Hash() const { return Digest().MixBytes(bytes_).value(); }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> Take() { return std::move(bytes_); }
@@ -78,17 +71,6 @@ class SnapReader {
   uint64_t GetU64() { return GetLe(8); }
   int64_t GetI64() { return static_cast<int64_t>(GetLe(8)); }
   bool GetBool() { return GetU8() != 0; }
-
-  bool GetBytes(uint8_t* out, size_t n) {
-    if (!CheckAvail(n)) {
-      return false;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = data_[pos_ + i];
-    }
-    pos_ += n;
-    return true;
-  }
 
   std::vector<uint8_t> GetBlob() {
     uint32_t n = GetU32();

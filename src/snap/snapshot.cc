@@ -1,6 +1,7 @@
 #include "src/snap/snapshot.h"
 
 #include <array>
+#include <span>
 
 #include "src/blkfs/blkfs.h"
 #include "src/fault/fault_injector.h"
@@ -25,6 +26,15 @@ uint64_t TrailingHash(const std::vector<uint8_t>& bytes) {
   return v;
 }
 
+// The one integrity check on a stream: long enough for a header, and its
+// trailer is the Digest of every byte before it. Valid() and
+// RestoreContainer() both gate on it.
+bool Sealed(const std::vector<uint8_t>& bytes) {
+  return bytes.size() >= kMinStreamBytes &&
+         TrailingHash(bytes) ==
+             Digest().MixBytes(std::span(bytes).first(bytes.size() - 8)).value();
+}
+
 bool KindInRange(uint8_t kind) {
   return kind <= static_cast<uint8_t>(RuntimeKind::kLibOs);
 }
@@ -46,14 +56,11 @@ uint64_t SnapshotImage::content_hash() const {
 }
 
 bool SnapshotImage::Valid() const {
-  if (bytes.size() < kMinStreamBytes) {
+  if (!Sealed(bytes)) {
     return false;
   }
   SnapReader r(bytes.data(), bytes.size());
-  if (r.GetU64() != kSnapMagic || r.GetU32() != kSnapVersion || !KindInRange(r.GetU8())) {
-    return false;
-  }
-  return TrailingHash(bytes) == SnapHashBytes(kSnapFnvBasis, bytes.data(), bytes.size() - 8);
+  return r.GetU64() == kSnapMagic && r.GetU32() == kSnapVersion && KindInRange(r.GetU8());
 }
 
 SnapshotImage CheckpointContainer(ContainerEngine& engine, FaultInjector* injector,
@@ -137,8 +144,7 @@ RestoreOutcome RestoreContainer(Machine& machine, const SnapshotImage& image) {
 
   // Content hash first: any damage anywhere in the stream is caught here
   // before a single byte drives an allocation.
-  if (bytes.size() < kMinStreamBytes ||
-      TrailingHash(bytes) != SnapHashBytes(kSnapFnvBasis, bytes.data(), bytes.size() - 8)) {
+  if (!Sealed(bytes)) {
     out.fault.detail = bytes.size() < kMinStreamBytes ? 0 : TrailingHash(bytes);
     machine.faults().Note(out.fault);
     return out;

@@ -1,7 +1,7 @@
-// Storage workloads over the block-backed filesystem (src/blkfs): the
-// WAL-commit loop and sequential scan of blk_workload.h, rebuilt on real
-// files so every access pays (or saves) what the page cache decides —
-// cache hits, readahead, epoch writeback, and the fsync barrier path.
+// Storage workloads over the block-backed filesystem (src/blkfs): a
+// WAL-commit loop and a sequential scan over real files, so every access
+// pays (or saves) what the page cache decides — cache hits, readahead,
+// epoch writeback, and the fsync barrier path.
 // Results carry the cache-counter deltas so benches can print hit/miss/
 // writeback columns next to ops/sec.
 #ifndef SRC_WORKLOADS_BLKFS_WORKLOAD_H_

@@ -4,7 +4,7 @@
 // owner nodes, engine gPA backing tables, the PVM shadow-root vector) and batched the
 // FNV-1a digest mixing. None of that may change a single simulated result:
 //
-//  * the canonical FNV-1a helpers must be bit-identical to the chained
+//  * the canonical FNV-1a Digest must be bit-identical to the chained
 //    per-word form every subsystem used before;
 //  * the kill-sweep free list must return frames in ascending PA order *by
 //    construction* — never because some container happened to iterate a
@@ -33,36 +33,58 @@ namespace {
 
 // --- canonical FNV-1a --------------------------------------------------------
 
+// The FNV-1a byte step, written out independently of src/sim/fnv.h.
+uint64_t ByteStep(uint64_t h, uint8_t b) { return (h ^ b) * 0x100000001b3ULL; }
+
 TEST(CanonicalFnvTest, BatchedWordsMatchChainedMix) {
   const uint64_t words[] = {0, 1, 0xdeadbeefULL, ~0ULL, 0x0123456789abcdefULL};
   uint64_t chained = kFnvOffsetBasis;
+  Digest one_by_one;
   for (uint64_t w : words) {
     chained = FnvMix64(chained, w);
+    one_by_one.Mix(w);
   }
-  EXPECT_EQ(FnvMixWords(kFnvOffsetBasis, words, std::size(words)), chained);
+  EXPECT_EQ(Digest().Mix(words).value(), chained);
+  EXPECT_EQ(one_by_one.value(), chained);
+  EXPECT_EQ(Digest().Mix({0, 1, 0xdeadbeefULL, ~0ULL, 0x0123456789abcdefULL}).value(), chained);
 }
 
 TEST(CanonicalFnvTest, Mix64IsByteWiseLittleEndian) {
-  // FnvMix64 must equal folding the value's 8 bytes LSB-first — the layout
+  // Mix must equal folding the value's 8 bytes LSB-first — the layout
   // every pre-refactor subsystem used, so digests cannot silently change.
   const uint64_t v = 0x1122334455667788ULL;
   uint64_t by_bytes = kFnvOffsetBasis;
   for (int i = 0; i < 8; ++i) {
-    by_bytes = FnvMixByte(by_bytes, static_cast<uint8_t>(v >> (i * 8)));
+    by_bytes = ByteStep(by_bytes, static_cast<uint8_t>(v >> (i * 8)));
   }
-  EXPECT_EQ(FnvMix64(kFnvOffsetBasis, v), by_bytes);
-  // The published FNV-1a constants, not lookalikes.
+  EXPECT_EQ(Digest().Mix(v).value(), by_bytes);
+  // The published FNV-1a constants, not lookalikes; a fresh digest sits
+  // at the offset basis.
   EXPECT_EQ(kFnvOffsetBasis, 0xcbf29ce484222325ULL);
   EXPECT_EQ(kFnvPrime, 0x100000001b3ULL);
+  EXPECT_EQ(Digest().value(), kFnvOffsetBasis);
+  static_assert(Digest().Mix(v).value() == FnvMix64(kFnvOffsetBasis, v));
 }
 
 TEST(CanonicalFnvTest, BytesHelperMatchesByteLoop) {
   const uint8_t data[] = {0x00, 0xff, 0x42, 0x13, 0x37};
   uint64_t loop = kFnvOffsetBasis;
   for (uint8_t b : data) {
-    loop = FnvMixByte(loop, b);
+    loop = ByteStep(loop, b);
   }
-  EXPECT_EQ(FnvMixBytes(kFnvOffsetBasis, data, sizeof(data)), loop);
+  EXPECT_EQ(Digest().MixBytes(data).value(), loop);
+}
+
+TEST(CanonicalFnvTest, ResumedDigestContinuesTheChain) {
+  // A digest stored mid-chain (CKISNAP1 keeps blkfs's) and resumed must
+  // land exactly where the uninterrupted chain does.
+  const uint8_t tail[] = {0x5a, 0xa5};
+  Digest whole;
+  whole.Mix({7, 8}).Mix(9).MixBytes(tail);
+  Digest first_half;
+  first_half.Mix({7, 8});
+  EXPECT_EQ(Digest::Resume(first_half.value()).Mix(9).MixBytes(tail).value(), whole.value());
+  EXPECT_EQ(Digest::Resume(kFnvOffsetBasis).value(), Digest().value());
 }
 
 // --- container-order independence -------------------------------------------

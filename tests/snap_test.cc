@@ -13,7 +13,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/hw/pte.h"
 #include "src/runtime/runtime.h"
-#include "src/snap/snap_stream.h"
+#include "src/sim/fnv.h"
 #include "src/snap/snapshot.h"
 
 namespace cki {
@@ -151,6 +151,49 @@ TEST(Snapshot, ManualBitFlipAnywhereIsRejected) {
 
   // The untouched image still restores on the same machine afterwards.
   EXPECT_TRUE(RestoreContainer(other, img).ok);
+}
+
+// --- a container whose last process exited -----------------------------------
+
+// Exiting the only process leaves the kernel with no current process. The
+// engine must answer from then on (getpid: kESRCH, touch: kSegv) instead
+// of handing a missing process to the kernel; a checkpoint of that state
+// restores into an engine that answers the same way, and a kill still
+// reclaims every frame on both machines.
+TEST(Snapshot, ExitedContainerAnswersWithoutACurrentProcess) {
+  const RuntimeKind kinds[] = {RuntimeKind::kRunc,      RuntimeKind::kHvm,
+                               RuntimeKind::kPvm,       RuntimeKind::kCki,
+                               RuntimeKind::kCkiNoOpt2, RuntimeKind::kCkiNoOpt3,
+                               RuntimeKind::kGvisor,    RuntimeKind::kLibOs};
+  for (RuntimeKind kind : kinds) {
+    SCOPED_TRACE(std::string(RuntimeKindName(kind)));
+    Testbed bed(kind, Deployment::kBareMetal);
+    const uint64_t page = bed.engine().MmapAnon(kPageSize, /*populate=*/true);
+    ASSERT_NE(page, 0u);
+    ASSERT_TRUE(bed.engine().UserSyscall(SyscallRequest{.no = Sys::kExit}).ok());
+    ASSERT_LT(bed.engine().kernel().current_pid(), 0);
+
+    auto answers_without_process = [page](ContainerEngine& e) {
+      EXPECT_EQ(e.UserSyscall(SyscallRequest{.no = Sys::kGetpid}).value, kESRCH);
+      EXPECT_EQ(e.UserTouch(page, /*write=*/true), TouchResult::kSegv);
+    };
+    answers_without_process(bed.engine());
+
+    SnapshotImage img = CheckpointContainer(bed.engine());
+    ASSERT_TRUE(img.Valid());
+    Machine other(MachineConfigFor(kind, Deployment::kBareMetal));
+    RestoreOutcome out = RestoreContainer(other, img);
+    ASSERT_TRUE(out.ok) << "restore failed: " << FaultKindName(out.fault.kind);
+    answers_without_process(*out.engine);
+
+    auto kill_reclaims_everything = [](ContainerEngine& e, Machine& machine) {
+      e.KillFromFault();
+      EXPECT_EQ(machine.frames().OwnedFrames(e.id()), 0u);
+      EXPECT_EQ(machine.frames().SharedFrames(e.id()), 0u);
+    };
+    kill_reclaims_everything(bed.engine(), bed.machine());
+    kill_reclaims_everything(*out.engine, other);
+  }
 }
 
 // --- copy-on-write clones ----------------------------------------------------
@@ -326,16 +369,15 @@ TEST(Snapshot, CrossShardMigrationReproducesWorkloadExactly) {
   ASSERT_TRUE(img.Valid());
 
   auto workload_hash = [](ContainerEngine& e) {
-    uint64_t h = kFnvOffsetBasis;
-    auto mix = [&h](uint64_t v) { h = FnvMix64(h, v); };
+    Digest h;
     for (const int64_t v : Probe(e)) {
-      mix(static_cast<uint64_t>(v));
+      h.Mix(static_cast<uint64_t>(v));
     }
     uint64_t extra = e.MmapAnon(2 * kPageSize, /*populate=*/true);
-    mix(extra);
-    mix(static_cast<uint64_t>(e.UserTouch(extra, /*write=*/true)));
-    mix(e.kernel().total_page_faults());
-    return h;
+    h.Mix(extra);
+    h.Mix(static_cast<uint64_t>(e.UserTouch(extra, /*write=*/true)));
+    h.Mix(e.kernel().total_page_faults());
+    return h.value();
   };
   const uint64_t want = workload_hash(bed.engine());
 
